@@ -195,6 +195,12 @@ def fd_jacobian(fn, x):
 # ---------------------------------------------------------------------------
 # closed-form tensors in the q-p and c-v charts
 
+# Elementwise libm pow, which is what the scalar c_k ** m of a per-entry
+# assembly computes. Array ** 2 is a plain multiply and array ** 3 may take a
+# SIMD pow; either can differ from it in the last bit.
+_pow = np.float_power
+
+
 def pi0_qp(n):
     """Canonical bracket: {q_k, p_k} = 1, everything else zero."""
     d = 2 * n
@@ -215,13 +221,13 @@ def pi0_cv(n):
     if n < 2:
         raise DomainViolation("need N >= 2 in the c-v chart")
     d = 2 * n - 1
+    k = np.arange(n - 1)
 
     def tensor(x):
         v, c = cv_unpack(x, n)
         M = np.zeros((d, d))
-        for k in range(n - 1):
-            M[n + k, k] = -0.5 * c[k]
-            M[n + k, k + 1] = 0.5 * c[k]
+        M[n + k, k] = -0.5 * c
+        M[n + k, k + 1] = 0.5 * c
         return M - M.T
 
     return PoissonStructure(chart=cv_chart(n), name="pi0_cv", tensor_fn=tensor)
@@ -235,16 +241,16 @@ def pi1_cv(n):
     if n < 2:
         raise DomainViolation("need N >= 2 in the c-v chart")
     d = 2 * n - 1
+    k = np.arange(n - 1)
+    j = np.arange(n - 2)
 
     def tensor(x):
         v, c = cv_unpack(x, n)
         M = np.zeros((d, d))
-        for k in range(n - 1):
-            M[n + k, k] = -0.5 * c[k] * v[k]
-            M[n + k, k + 1] = 0.5 * c[k] * v[k + 1]
-            M[k, k + 1] = c[k] ** 2
-            if k + 1 < n - 1:
-                M[n + k, n + k + 1] = 0.25 * c[k] * c[k + 1]
+        M[n + k, k] = -0.5 * c * v[:-1]
+        M[n + k, k + 1] = 0.5 * c * v[1:]
+        M[k, k + 1] = _pow(c, 2)
+        M[n + j, n + j + 1] = 0.25 * c[:-1] * c[1:]
         return M - M.T
 
     return PoissonStructure(chart=cv_chart(n), name="pi1_cv", tensor_fn=tensor)
@@ -260,20 +266,19 @@ def pi2_cv(n):
     if n < 2:
         raise DomainViolation("need N >= 2 in the c-v chart")
     d = 2 * n - 1
+    k = np.arange(n - 1)
+    j = np.arange(n - 2)
 
     def tensor(x):
         v, c = cv_unpack(x, n)
         M = np.zeros((d, d))
-        for k in range(n - 1):
-            M[n + k, k] = -0.5 * (c[k] * v[k] ** 2 + c[k] ** 3)
-            M[n + k, k + 1] = 0.5 * (c[k] * v[k + 1] ** 2 + c[k] ** 3)
-            M[k, k + 1] = c[k] ** 2 * (v[k] + v[k + 1])
-            if k + 1 < n - 1:
-                M[n + k, n + k + 1] = 0.5 * c[k] * c[k + 1] * v[k + 1]
-            if k + 2 <= n - 1:
-                M[n + k, k + 2] = 0.5 * c[k] * c[k + 1] ** 2
-            if k + 1 <= n - 2:
-                M[n + k + 1, k] = -0.5 * c[k] ** 2 * c[k + 1]
+        c2, c3 = _pow(c, 2), _pow(c, 3)
+        M[n + k, k] = -0.5 * (c * _pow(v[:-1], 2) + c3)
+        M[n + k, k + 1] = 0.5 * (c * _pow(v[1:], 2) + c3)
+        M[k, k + 1] = c2 * (v[:-1] + v[1:])
+        M[n + j, n + j + 1] = 0.5 * c[:-1] * c[1:] * v[1:-1]
+        M[n + j, j + 2] = 0.5 * c[:-1] * c2[1:]
+        M[n + j + 1, j] = -0.5 * c2[:-1] * c[1:]
         return M - M.T
 
     return PoissonStructure(chart=cv_chart(n), name="pi2_cv", tensor_fn=tensor)

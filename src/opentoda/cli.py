@@ -90,6 +90,12 @@ def parse_envelope(doc):
         payload = doc["payload"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed envelope: {exc}") from None
+    meta = doc.get("meta")
+    theirs = meta.get("conventions") if isinstance(meta, dict) else None
+    if theirs is not None and theirs != conventions_hash():
+        raise ValueError(
+            f"envelope conventions {theirs!r} differ from this package's {conventions_hash()!r}"
+        )
     def arr(key, length):
         raw = payload.get(key)
         if raw is None:

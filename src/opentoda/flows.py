@@ -12,16 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import dense_power, lax_commutator, tridiag_power_bands
 from .brackets import cv_pack, pi0_cv, pi1_cv, pi2_cv
 from .errors import (
+    ConvergenceFailure,
     DomainViolation,
     NonFiniteState,
     OverflowGuard,
     StructureViolation,
+    TodaError,
 )
 from .spectral import SpectralData, _require_normalized, direct_transform
-from .tridiag import JacobiMatrix, flaschka, trace_power
+from .tridiag import JacobiMatrix, flaschka, power_bands, trace_power
 
 _METHODS = ("exact", "rk4-lax", "rk4-hamiltonian")
 
@@ -63,16 +64,44 @@ def lax_a(J, k):
     of L^k."""
     if k < 1:
         raise DomainViolation("need k >= 1")
-    P = dense_power(J.v.astype(np.float64), J.c.astype(np.float64), k)
+    P = np.linalg.matrix_power(J.to_dense(), k)
     return 0.5 * (np.triu(P, 1) - np.tril(P, -1))
 
 
 def _lax_rate(v, c, k):
-    return lax_commutator(
-        np.ascontiguousarray(v, dtype=np.float64),
-        np.ascontiguousarray(c, dtype=np.float64),
-        k,
+    """Banded right-hand side of dL/dt = [A_k, L] on raw (v, c) arrays.
+
+    A_k and the commutator live in band storage (row w + d holds entry
+    (i, i + d)), so one call costs O(n k^2). Returns (vdot, cdot, off) with
+    off the largest commutator entry outside the symmetric tridiagonal
+    pattern, which a correct A_k keeps at rounding level.
+    """
+    n = v.size
+    w = k + 1
+    A = np.zeros((2 * w + 1, n))
+    A[1:-1] = power_bands(v, c, k)
+    A *= 0.5 * np.sign(np.arange(-w, w + 1))[:, None]
+    # L A: (L A)[i, i+d] = c[i-1] A[i-1, i+d] + v[i] A[i, i+d] + c[i] A[i+1, i+d]
+    LA = v * A
+    LA[:-1, 1:] += c * A[1:, :-1]
+    LA[1:, :-1] += c * A[:-1, 1:]
+    # A L: (A L)[i, i+d] = A[i, i+d-1] c[i+d-1] + A[i, i+d] v[i+d] + A[i, i+d+1] c[i+d],
+    # with v and c zero-padded so that vp[col[w + d, i]] = v[i + d], cp[...] = c[i + d]
+    col = np.arange(n) + np.arange(1, 2 * w + 2)[:, None]
+    vp = np.zeros(n + 2 * w + 2)
+    vp[w + 1 : w + 1 + n] = v
+    cp = np.zeros(n + 2 * w + 2)
+    cp[w + 1 : w + n] = c
+    AL = A * vp[col]
+    AL[1:] += A[:-1] * cp[col[1:] - 1]
+    AL[:-1] += A[1:] * cp[col[:-1]]
+    B = AL - LA
+    off = max(
+        float(np.abs(B[: w - 1]).max(initial=0.0)),
+        float(np.abs(B[w + 2 :]).max(initial=0.0)),
+        float(np.abs(B[w + 1, : n - 1] - B[w - 1, 1:]).max(initial=0.0)),
     )
+    return B[w], B[w + 1, : n - 1], off
 
 
 def lax_rhs(J, k):
@@ -93,17 +122,32 @@ def lax_rhs(J, k):
     return vdot, cdot
 
 
+def _gradient(v, c, m):
+    """grad H_m in the flat c-v state from bands 0 and 1 of L^m."""
+    P = power_bands(v, c, m)
+    sup = P[m + 1, :-1] if m else np.zeros(v.size - 1)
+    return np.concatenate([P[m], 2.0 * sup])
+
+
 def hamiltonian_gradient(J, m):
     """Gradient of H_m in the flat c-v state: (L^m)_ii against v_i and
     2 (L^m)_{i,i+1} against c_i."""
     if m < 0:
         raise DomainViolation("hamiltonian index must be >= 0")
-    diag, sup = tridiag_power_bands(
-        np.ascontiguousarray(J.v, dtype=np.float64),
-        np.ascontiguousarray(J.c, dtype=np.float64),
-        m,
-    )
-    return np.concatenate([diag, 2.0 * sup])
+    return _gradient(J.v, J.c, m)
+
+
+def _hamiltonian_rate(n, k, p):
+    """The map x -> xdot of X_k realized as pi_p applied to grad H_{k-p}, on
+    the flat c-v state of n sites."""
+    if n == 1:
+        return lambda x: np.zeros(1)
+    P = (pi0_cv, pi1_cv, pi2_cv)[p](n)
+
+    def rate(x):
+        return P.tensor(x) @ _gradient(x[:n], x[n:], k - p)
+
+    return rate
 
 
 def hamiltonian_field(J, k, p):
@@ -112,13 +156,8 @@ def hamiltonian_field(J, k, p):
         raise DomainViolation("need k >= 1")
     if not 0 <= p <= min(k, 2):
         raise DomainViolation("need 0 <= p <= min(k, 2)")
-    n = J.n
-    if n == 1:
-        return np.zeros(1), np.zeros(0)
-    g = hamiltonian_gradient(J, k - p)
-    P = (pi0_cv, pi1_cv, pi2_cv)[p](n)
-    xdot = P.tensor(cv_pack(J)) @ g
-    return xdot[:n], xdot[n:]
+    xdot = _hamiltonian_rate(J.n, k, p)(cv_pack(J))
+    return xdot[: J.n], xdot[J.n :]
 
 
 def spectral_field(S, k):
@@ -167,14 +206,23 @@ def state_field_names(kind, n):
 
 
 def _spectral_view(kind, n, row):
+    """Eigenvalues and squared first eigenvector components of a row.
+
+    Jacobi and phase rows go through LAPACK (eigh), one row at a time so
+    memory stays flat; the diagnostics read only z and sum rho, which it
+    gives to rounding. A LAPACK failure raises ConvergenceFailure.
+    """
     if kind == "spectral":
         return row[:n], row[n:]
     if kind == "jacobi":
         J = JacobiMatrix(v=row[:n], c=row[n:])
     else:
         J = flaschka_row(row, n)
-    S = direct_transform(J)
-    return S.z, S.rho
+    try:
+        z, V = np.linalg.eigh(J.to_dense())
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"diagnostics eigensolve failed: {exc}") from None
+    return z, V[0] ** 2
 
 
 def flaschka_row(row, n):
@@ -211,7 +259,7 @@ class Trajectory:
             for i in range(m):
                 try:
                     z, rho = _spectral_view(kind, n, states[i])
-                except Exception:
+                except TodaError:
                     sr[i] = np.nan
                     sd[i] = np.nan
                     continue
@@ -251,6 +299,11 @@ class Trajectory:
         return self.states[-1]
 
 
+def _check_record_every(record_every):
+    if record_every < 1:
+        raise DomainViolation("record_every must be >= 1")
+
+
 def rk4(field, state, dt, t_final, kind="raw", n=None, record_every=1):
     """Classic fourth-order steps of x' = field(x) from t=0 to t_final.
 
@@ -262,6 +315,7 @@ def rk4(field, state, dt, t_final, kind="raw", n=None, record_every=1):
         raise DomainViolation("dt must be positive")
     if t_final < 0:
         raise DomainViolation("t_final must be >= 0")
+    _check_record_every(record_every)
     x = np.array(state, dtype=float)
     if n is None:
         n = x.size
@@ -293,22 +347,11 @@ def _lax_field(n, k):
     return field
 
 
-def _hamiltonian_cv_field(n, k, p):
-    P = (pi0_cv, pi1_cv, pi2_cv)[p](n)
-
-    def field(x):
-        diag, sup = tridiag_power_bands(
-            np.ascontiguousarray(x[:n]), np.ascontiguousarray(x[n:]), k - p
-        )
-        return P.tensor(x) @ np.concatenate([diag, 2.0 * sup])
-
-    return field
-
-
 def evolve(obj, spec, record_every=1):
     """Run a FlowSpec on a JacobiMatrix or SpectralData, converting the state
     to the chart the method wants. Exact propagation samples the closed form
     on the dt grid; the RK4 methods integrate in the c-v chart."""
+    _check_record_every(record_every)
     if spec.method == "exact":
         S = obj if isinstance(obj, SpectralData) else direct_transform(obj)
         nsteps = 0 if spec.t_final == 0 else int(np.ceil(spec.t_final / spec.dt - 1e-12))
@@ -332,10 +375,7 @@ def evolve(obj, spec, record_every=1):
     if spec.method == "rk4-lax":
         field = _lax_field(n, spec.k)
     else:
-        if n == 1:
-            field = lambda x: np.zeros(1)
-        else:
-            field = _hamiltonian_cv_field(n, spec.k, spec.p)
+        field = _hamiltonian_rate(n, spec.k, spec.p)
     return rk4(
         field, cv_pack(J), spec.dt, spec.t_final,
         kind="jacobi", n=n, record_every=record_every,

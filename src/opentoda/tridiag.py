@@ -6,12 +6,14 @@ off-diagonal c (N-1 entries). The closing coefficient c_{N-1} = prod(c_k)^-1
 is a device for the last recurrence step, computed on demand and never stored.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from .errors import ConvergenceFailure, DomainViolation, SingularMatrix
+
+_EPS = 2.220446049250313e-16
 
 
 def _as_finite_1d(x, name):
@@ -117,6 +119,84 @@ def unflaschka(J, q0=0.0):
     return PhasePoint(q=q, p=p)
 
 
+def _ql_eigen_first(d, e, z, max_sweeps):
+    """Implicit-shift QL on a symmetric tridiagonal matrix.
+
+    d (n,) holds the diagonal and is overwritten with eigenvalues in ascending
+    order; e (n,) holds the subdiagonal in e[:n-1] (e[n-1] is scratch) and is
+    destroyed; z (n,) is overwritten with the first row of the eigenvector
+    matrix, i.e. z[k] is the first component of the k-th eigenvector.
+    Returns 0 on success, 1 when some eigenvalue needs more than max_sweeps
+    sweeps.
+    """
+    n = d.shape[0]
+    for i in range(n):
+        z[i] = 0.0
+    z[0] = 1.0
+    if n == 1:
+        return 0
+    for l in range(n):
+        sweeps = 0
+        while True:
+            m = n - 1
+            for mm in range(l, n - 1):
+                dd = abs(d[mm]) + abs(d[mm + 1])
+                if abs(e[mm]) <= _EPS * dd:
+                    m = mm
+                    break
+            if m == l:
+                break
+            sweeps += 1
+            if sweeps > max_sweeps:
+                return 1
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            if g >= 0.0:
+                g = d[m] - d[l] + e[l] / (g + r)
+            else:
+                g = d[m] - d[l] + e[l] / (g - r)
+            s = 1.0
+            c = 1.0
+            p = 0.0
+            underflow = False
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    underflow = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                f = z[i + 1]
+                z[i + 1] = s * z[i] + c * f
+                z[i] = c * z[i] - s * f
+            if not underflow:
+                d[l] -= p
+                e[l] = g
+                e[m] = 0.0
+    # ascending order, carrying the first components along
+    for i in range(1, n):
+        dk = d[i]
+        zk = z[i]
+        j = i - 1
+        while j >= 0 and d[j] > dk:
+            d[j + 1] = d[j]
+            z[j + 1] = z[j]
+            j -= 1
+        d[j + 1] = dk
+        z[j + 1] = zk
+    return 0
+
+
 def eigen(J, max_sweeps=60):
     """Eigenvalues (ascending) and first eigenvector components of J.
 
@@ -130,7 +210,7 @@ def eigen(J, max_sweeps=60):
     if n > 1:
         e[: n - 1] = J.c
     z = np.zeros(n)
-    status = _accel.ql_eigen_first(d, e, z, max_sweeps)
+    status = _ql_eigen_first(d, e, z, max_sweeps)
     if status != 0:
         raise ConvergenceFailure(f"QL sweep cap {max_sweeps} exceeded")
     return d, np.abs(z)
@@ -177,6 +257,26 @@ def pq_polynomials(J, z):
         P[j + 1] = ((z - J.v[j]) * P[j] - cc[j - 1] * P[j - 1]) / cc[j]
         Q[j + 1] = ((z - J.v[j]) * Q[j] - cc[j - 1] * Q[j - 1]) / cc[j]
     return P, Q
+
+
+def power_bands(v, c, k):
+    """Band storage of L^k for the tridiagonal matrix with diagonal v and
+    off-diagonal c: row k + d holds (L^k)[i, i + d] for d = -k..k, zero where
+    i + d leaves the matrix.
+
+    Built by k left products with L, each touching only the 2k + 1 bands, so
+    the cost is O(n k^2) against k n^3 for dense powers.
+    """
+    n = v.size
+    P = np.zeros((2 * k + 1, n))
+    P[k] = 1.0
+    for _ in range(k):
+        # (L M)[i, i+d] = c[i-1] M[i-1, i+d] + v[i] M[i, i+d] + c[i] M[i+1, i+d]
+        Q = v * P
+        Q[:-1, 1:] += c * P[1:, :-1]
+        Q[1:, :-1] += c * P[:-1, 1:]
+        P = Q
+    return P
 
 
 def trace_power(J, m):

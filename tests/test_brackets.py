@@ -35,7 +35,8 @@ from opentoda import (
     zrho_tensor,
 )
 
-from conftest import contour_bracket, random_spectral
+from conftest import contour_bracket, random_jacobi, random_spectral
+from oracles import pi_cv_loop
 
 ONE = WeightFn.power(0)
 Z = WeightFn.power(1)
@@ -379,3 +380,12 @@ def test_pushforward_identity(rng):
     x = zrho_pack(S)
     P = zrho_tensor(ONE, 3)
     np.testing.assert_allclose(pushforward(P, lambda y: y, x), P.tensor(x), atol=1e-9)
+
+
+def test_cv_tensors_match_loop_assembly():
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 4, 8, 48):
+        for _ in range(5):
+            x = cv_pack(random_jacobi(rng, n))
+            for p, P in enumerate((pi0_cv, pi1_cv, pi2_cv)):
+                np.testing.assert_array_equal(P(n).tensor(x), pi_cv_loop(p, n, x))

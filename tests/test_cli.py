@@ -62,6 +62,21 @@ def test_envelope_errors():
         make_envelope(object())
 
 
+def test_envelope_conventions_mismatch(tmp_path, capsys):
+    doc = make_envelope(JacobiMatrix(v=np.zeros(2), c=np.ones(1)))
+    doc["meta"]["conventions"] = "bogus"
+    with pytest.raises(ValueError, match="conventions"):
+        parse_envelope(doc)
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(["transform", str(path)], capsys)
+    assert rc == 2 and out == ""
+    assert "conventions" in err
+    # an envelope without a conventions entry is still read
+    del doc["meta"]
+    assert isinstance(parse_envelope(doc), JacobiMatrix)
+
+
 def test_transform_forward(tmp_path, capsys):
     path = write_envelope(tmp_path, PhasePoint(q=np.zeros(2), p=np.zeros(2)))
     rc, out, _ = run(["transform", path], capsys)
@@ -192,6 +207,19 @@ def test_evolve_bad_spec(tmp_path, capsys):
         rc, _, err = run(["evolve", path] + argv, capsys)
         assert rc == 2
         assert "error:" in err
+
+
+def test_evolve_bad_record_every(tmp_path, capsys):
+    path = write_envelope(tmp_path, worked_spectral())
+    for method in ("exact", "rk4-lax"):
+        for every in ("0", "-1"):
+            rc, out, err = run(
+                ["evolve", path, "--method", method, "--t", "0.1", "--dt", "0.05",
+                 "--record-every", every],
+                capsys,
+            )
+            assert rc == 2 and out == ""
+            assert "record_every" in err
 
 
 def test_bracket_command(tmp_path, capsys):

@@ -10,6 +10,7 @@ from opentoda import (
     NonFiniteState,
     OverflowGuard,
     SpectralData,
+    StructureViolation,
     Trajectory,
     direct_transform,
     eigen,
@@ -22,9 +23,12 @@ from opentoda import (
     lax_rhs,
     rk4,
     spectral_field,
+    unflaschka,
 )
+from opentoda import flows
 
 from conftest import random_jacobi, random_spectral
+from oracles import lax_commutator
 
 
 def test_flow_spec_validation():
@@ -74,6 +78,29 @@ def test_lax_matches_dense_commutator(rng):
         vdot, cdot = lax_rhs(J, k)
         np.testing.assert_allclose(vdot, np.diag(C), atol=1e-10 * max(1, np.max(np.abs(C))))
         np.testing.assert_allclose(cdot, np.diag(C, 1), atol=1e-10 * max(1, np.max(np.abs(C))))
+
+
+def test_lax_rhs_matches_dense_oracle(rng):
+    for n in (1, 2, 3, 8, 48):
+        for k in range(1, 6):
+            J = random_jacobi(rng, n)
+            vdot, cdot = lax_rhs(J, k)
+            want_v, want_c, _ = lax_commutator(J.v, J.c, k)
+            scale = max(np.max(np.abs(want_v)), np.max(np.abs(want_c), initial=0.0))
+            assert np.max(np.abs(vdot - want_v)) <= 1e-13 * scale
+            assert np.max(np.abs(cdot - want_c), initial=0.0) <= 1e-13 * scale
+
+
+def test_lax_rhs_structure_violation(rng, monkeypatch):
+    J = random_jacobi(rng, 6)
+    power_bands = flows.power_bands
+    # bands of L^k scaled unevenly no longer make a generator of an isospectral flow
+    monkeypatch.setattr(
+        flows, "power_bands",
+        lambda v, c, k: power_bands(v, c, k) * np.arange(1, 2 * k + 2)[:, None],
+    )
+    with pytest.raises(StructureViolation):
+        lax_rhs(J, 2)
 
 
 def test_hamiltonian_gradient_bands(rng):
@@ -175,11 +202,17 @@ def test_rk4_nonfinite_raises():
         rk4(lambda x: x**2, np.array([1.0]), 1e-2, 3.0)
 
 
-def test_rk4_validation():
+def test_rk4_validation(worked):
     with pytest.raises(DomainViolation):
         rk4(lambda x: -x, np.array([1.0]), -0.1, 1.0)
     with pytest.raises(DomainViolation):
         rk4(lambda x: -x, np.array([1.0]), 0.1, -1.0)
+    for every in (0, -1):
+        with pytest.raises(DomainViolation):
+            rk4(lambda x: -x, np.array([1.0]), 0.1, 1.0, record_every=every)
+        for method in ("exact", "rk4-lax"):
+            with pytest.raises(DomainViolation):
+                evolve(worked, FlowSpec(k=1, method=method, t_final=0.2, dt=0.1), record_every=every)
 
 
 def test_evolve_exact_matches_direct_call(worked):
@@ -237,3 +270,51 @@ def test_trajectory_payload(worked):
     assert doc["kind"] == "spectral" and doc["n"] == 2
     assert doc["fields"] == ["z0", "z1", "rho0", "rho1"]
     assert len(doc["times"]) == len(doc["states"])
+
+
+def _jacobi_rows(rng, n, count):
+    Js = [random_jacobi(rng, n) for _ in range(count)]
+    return Js, np.array([np.concatenate([J.v, J.c]) for J in Js])
+
+
+def test_trajectory_diagnostics_match_direct_transform(rng):
+    for n in (1, 5, 48):
+        Js, rows = _jacobi_rows(rng, n, 4)
+        phase = np.array([np.concatenate([P.q, P.p]) for P in map(unflaschka, Js)])
+        spectra = [direct_transform(J) for J in Js]
+        for kind, states in (("jacobi", rows), ("phase", phase)):
+            traj = Trajectory.build(kind, n, np.arange(4.0), states)
+            for i, S in enumerate(spectra):
+                z, rho = flows._spectral_view(kind, n, states[i])
+                scale = 1.0 + np.max(np.abs(S.z))
+                assert np.max(np.abs(z - S.z)) <= 1e-12 * scale
+                assert abs(np.sum(rho) - np.sum(S.rho)) <= 1e-12
+                want = np.max(np.abs(S.z - spectra[0].z))
+                assert abs(traj.spectrum_drift[i] - want) <= 1e-12 * scale
+            assert np.max(traj.sum_rho_drift) <= 1e-12
+
+
+def test_trajectory_undiagnosable_rows_are_nan(rng, monkeypatch):
+    _, rows = _jacobi_rows(rng, 4, 3)
+    rows[1, 4] = -1.0  # c_0 <= 0 is not a Jacobi matrix
+    traj = Trajectory.build("jacobi", 4, np.arange(3.0), rows)
+    assert np.isnan(traj.sum_rho_drift[1]) and np.isnan(traj.spectrum_drift[1])
+    assert np.all(np.isfinite(traj.spectrum_drift[[0, 2]]))
+
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    traj = Trajectory.build("jacobi", 4, np.arange(3.0), rows)
+    assert np.all(np.isnan(traj.sum_rho_drift)) and np.all(np.isnan(traj.spectrum_drift))
+
+
+def test_trajectory_diagnostics_propagate_other_errors(rng, monkeypatch):
+    _, rows = _jacobi_rows(rng, 4, 2)
+
+    def broken(a):
+        raise RuntimeError("not a Toda failure")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    with pytest.raises(RuntimeError, match="not a Toda failure"):
+        Trajectory.build("jacobi", 4, np.arange(2.0), rows)

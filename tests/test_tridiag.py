@@ -16,7 +16,10 @@ from opentoda import (
     unflaschka,
 )
 
+from opentoda.tridiag import power_bands
+
 from conftest import random_jacobi
+from oracles import dense_power
 
 
 def test_jacobi_matrix_validation():
@@ -86,6 +89,20 @@ def test_eigen_against_scipy(rng):
 def test_eigen_convergence_cap(worked):
     with pytest.raises(ConvergenceFailure):
         eigen(worked, max_sweeps=0)
+
+
+def test_power_bands_match_dense_power(rng):
+    for n in (1, 2, 3, 8, 48):
+        J = random_jacobi(rng, n)
+        for k in range(6):
+            D = dense_power(J.v, J.c, k)
+            P = power_bands(J.v, J.c, k)
+            scale = np.max(np.abs(D))
+            for d in range(-k, k + 1):
+                want = np.zeros(n)
+                rows = np.arange(max(0, -d), min(n, n - d))
+                want[rows] = D[rows, rows + d]
+                assert np.max(np.abs(P[k + d] - want)) <= 1e-13 * scale
 
 
 def test_truncated_charpoly_matches_dense(rng):
