@@ -7,6 +7,7 @@ under a fixed --seed.
 """
 
 import argparse
+import itertools
 import json
 import sys
 
@@ -44,6 +45,7 @@ from .charts import (
 )
 from .errors import (
     ConvergenceFailure,
+    DomainViolation,
     NonFiniteState,
     OverflowGuard,
     TodaError,
@@ -61,6 +63,9 @@ from .spectral import (
 from .tridiag import JacobiMatrix, PhasePoint, flaschka, pq_polynomials, unflaschka
 
 _BLOWUP = (OverflowGuard, NonFiniteState, ConvergenceFailure)
+
+# Items of a flat list that dump_json encodes in one C-encoder call.
+_JSON_SLICE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +126,53 @@ def load_envelope(path):
 
 
 def dump_json(doc, stream):
-    json.dump(doc, stream, sort_keys=True, separators=(",", ": "), indent=1)
+    """Write doc as `json.dump(doc, stream, sort_keys=True, separators=(",",
+    ": "), indent=1)` would, plus a newline, byte for byte.
+
+    json.dump runs its pure-Python encoder whenever it indents. Here the
+    containers are walked in Python, and every leaf and every flat list (one
+    holding no dict or list) goes to json's C encoder, with an item
+    separator that carries the line break and indentation. Flat lists go in
+    slices of _JSON_SLICE items, and each piece is written to the stream as
+    it is made, so no long list or document is ever held as one string.
+    """
+    encoders = {}
+    containers = itertools.repeat((dict, list, tuple))
+
+    def leaf(value, pad):
+        # pad is the indentation of a flat list's items
+        encode = encoders.get(pad)
+        if encode is None:
+            encode = encoders[pad] = json.JSONEncoder(separators=(",\n" + pad, ": ")).encode
+        return encode(value)
+
+    def write(value, pad):
+        inner = pad + " "
+        if isinstance(value, dict) and value:
+            sep = "{\n" + inner
+            for key, item in sorted(value.items()):
+                if not isinstance(key, str):
+                    key = leaf(key, inner)
+                stream.write(sep + leaf(key, inner) + ": ")
+                write(item, inner)
+                sep = ",\n" + inner
+            stream.write("\n" + pad + "}")
+        elif isinstance(value, (list, tuple)) and value:
+            sep = "[\n" + inner
+            if any(map(isinstance, value, containers)):
+                for item in value:
+                    stream.write(sep)
+                    write(item, inner)
+                    sep = ",\n" + inner
+            else:
+                for i in range(0, len(value), _JSON_SLICE):
+                    stream.write(sep + leaf(value[i : i + _JSON_SLICE], inner)[1:-1])
+                    sep = ",\n" + inner
+            stream.write("\n" + pad + "]")
+        else:
+            stream.write(leaf(value, inner))
+
+    write(doc, "")
     stream.write("\n")
 
 
@@ -265,18 +316,54 @@ def cmd_demo(args):
 # ---------------------------------------------------------------------------
 # verification suites
 
+# Rejection draws allowed per sample. Up to n = 11 an accepted sample needs
+# at worst about 6e5 draws on average (n = 11, gap floor 0.4 on [0.5, 6],
+# acceptance (1 - 10 * 0.4 / 5.5)^11 = 1.6e-6), so the cap changes no draw
+# that succeeds there (a miss has probability e^-16). From n = 12 on, the
+# floors are met rarely and from n = 15 on never; the draw then raises
+# instead of hanging, after about 3 s of batched draws.
+_MAX_DRAWS = 10**7
+
+
+def _draw_accepted(rng, draw, accept, what):
+    """The first sample that passes accept among up to _MAX_DRAWS successive
+    samples, with rng left exactly where drawing them one at a time would.
+
+    draw(rng, m) returns m samples as the rows of an array; numpy's
+    generators give the same numbers for m samples at once as for m single
+    draws. Batches double from one sample up to 4096; once a batch holds an
+    accepted sample, rng is rewound and only the samples up to it are drawn
+    again. Raises DomainViolation when no sample passes.
+    """
+    tried, m = 0, 1
+    while tried < _MAX_DRAWS:
+        m = min(m, _MAX_DRAWS - tried)
+        state = rng.bit_generator.state
+        hits = np.flatnonzero(accept(draw(rng, m)))
+        if hits.size:
+            rng.bit_generator.state = state
+            return draw(rng, hits[0] + 1)[-1]
+        tried += m
+        m = min(2 * m, 4096)
+    raise DomainViolation(f"no {what} in {_MAX_DRAWS} random draws")
+
+
 def _rand_spectral(rng, n, positive=False, min_gap=0.05, rho_floor=1e-2):
     lo, hi = (0.5, 6.0) if positive else (-3.0, 3.0)
-    while True:
-        z = np.sort(rng.uniform(lo, hi, size=n))
-        if n == 1 or float(np.min(np.diff(z))) >= min_gap:
-            break
+    z = _draw_accepted(
+        rng,
+        lambda r, m: np.sort(r.uniform(lo, hi, size=(m, n)), axis=1),
+        lambda zs: np.diff(zs, axis=1).min(axis=1, initial=np.inf) >= min_gap,
+        f"{n} poles in [{lo}, {hi}] spaced {min_gap} or more apart",
+    )
     # the residue floor keeps 1/rho truncation terms of the FD-based checks
     # bounded; it conditions the flat simplex draw, nothing more
-    while True:
-        rho = rng.dirichlet(np.ones(n))
-        if n == 1 or float(rho.min()) >= rho_floor:
-            break
+    rho = _draw_accepted(
+        rng,
+        lambda r, m: r.dirichlet(np.ones(n), size=m),
+        lambda rhos: (n == 1) | (rhos.min(axis=1) >= rho_floor),
+        f"{n} residues of at least {rho_floor}",
+    )
     return SpectralData(z=z, rho=rho)
 
 

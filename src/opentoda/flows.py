@@ -7,7 +7,6 @@ residues follow a normalized exponential. RK4 is provided for the first
 two; trajectories carry isospectrality diagnostics.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,25 @@ from .tridiag import JacobiMatrix, flaschka, power_bands, trace_power
 
 _METHODS = ("exact", "rk4-lax", "rk4-hamiltonian")
 
+# Largest number of dt steps a flow may take; a t_final / dt beyond it is
+# refused up front instead of looping (or allocating rows) without end.
+MAX_STEPS = 10**7
+
+# Elements of z^k t evaluated at once by the exact flow: enough time rows per
+# block to amortize numpy's call overhead, few enough that the temporaries
+# stay small next to the trajectory itself.
+_EXACT_BLOCK = 1 << 16
+
+
+def _step_count(t_final, dt):
+    """Number of dt steps from 0 to t_final, the last one possibly shortened."""
+    if t_final == 0:
+        return 0
+    ratio = t_final / dt - 1e-12
+    if not ratio <= MAX_STEPS:
+        raise DomainViolation(f"t_final / dt asks for more than MAX_STEPS = {MAX_STEPS} steps")
+    return int(np.ceil(ratio))
+
 
 @dataclass(frozen=True)
 class FlowSpec:
@@ -42,10 +60,11 @@ class FlowSpec:
             raise DomainViolation("flow index k must be >= 1")
         if self.method not in _METHODS:
             raise DomainViolation(f"method must be one of {_METHODS}")
-        if self.dt <= 0:
+        if not self.dt > 0:
             raise DomainViolation("dt must be positive")
         if not np.isfinite(self.t_final) or self.t_final < 0:
             raise DomainViolation("t_final must be finite and >= 0")
+        _step_count(self.t_final, self.dt)
         if self.method == "rk4-hamiltonian" and not 0 <= self.p <= min(self.k, 2):
             raise DomainViolation("need 0 <= p <= min(k, 2)")
 
@@ -171,25 +190,38 @@ def spectral_field(S, k):
     return np.zeros(S.n), (zk - mean) * S.rho
 
 
+def _exact_rho(z, rho, k, ts):
+    """Residues rho_n e^{z_n^k t} / sum_s rho_s e^{z_s^k t}, one row per time in ts.
+
+    Exponents are shifted by their row maximum before exponentiation, so the
+    formula stays finite for any t the doubles can express. The first row
+    whose exponents z^k t are not representable, or whose residue mass
+    underflows, raises OverflowGuard.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = z**k * ts[:, None]
+        bad_exponent = ~np.isfinite(e).all(axis=1)
+        w = rho * np.exp(e - e.max(axis=1, keepdims=True))
+        tot = w.sum(axis=1)
+    bad = bad_exponent | ~(np.isfinite(tot) & (tot > 0.0))
+    if bad.any():
+        first = int(np.argmax(bad))
+        if bad_exponent[first]:
+            raise OverflowGuard("flow exponents z^k t overflow")
+        raise OverflowGuard("residue mass lost to underflow")
+    return w / tot[:, None]
+
+
 def exact_flow(S, k, t):
     """Closed-form X_k flow: rho_n(t) = rho_n e^{z_n^k t} / sum_s rho_s e^{z_s^k t}.
 
-    Exponents are shifted by their maximum before exponentiation, so the
-    formula stays finite for any t the doubles can express; OverflowGuard
-    fires only when z^k t itself is not representable.
+    OverflowGuard fires only when z^k t itself is not representable.
     """
     if k < 1:
         raise DomainViolation("need k >= 1")
     _require_normalized(S)
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = S.z**k * t
-    if not np.all(np.isfinite(e)):
-        raise OverflowGuard("flow exponents z^k t overflow")
-    w = S.rho * np.exp(e - e.max())
-    tot = float(np.sum(w))
-    if not np.isfinite(tot) or tot <= 0.0:
-        raise OverflowGuard("residue mass lost to underflow")
-    return SpectralData(z=S.z.copy(), rho=w / tot)
+    rho = _exact_rho(S.z, S.rho, k, np.array([t], dtype=float))[0]
+    return SpectralData(z=S.z.copy(), rho=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -206,14 +238,13 @@ def state_field_names(kind, n):
 
 
 def _spectral_view(kind, n, row):
-    """Eigenvalues and squared first eigenvector components of a row.
+    """Eigenvalues and squared first eigenvector components of a Jacobi or
+    phase row.
 
-    Jacobi and phase rows go through LAPACK (eigh), one row at a time so
-    memory stays flat; the diagnostics read only z and sum rho, which it
-    gives to rounding. A LAPACK failure raises ConvergenceFailure.
+    Rows go through LAPACK (eigh), one row at a time so memory stays flat;
+    the diagnostics read only z and sum rho, which it gives to rounding. A
+    LAPACK failure raises ConvergenceFailure.
     """
-    if kind == "spectral":
-        return row[:n], row[n:]
     if kind == "jacobi":
         J = JacobiMatrix(v=row[:n], c=row[n:])
     else:
@@ -254,7 +285,12 @@ class Trajectory:
         m = times.size
         sr = np.zeros(m)
         sd = np.zeros(m)
-        if kind != "raw":
+        if kind == "spectral" and m:
+            mass = states[:, n:].sum(axis=1)
+            sr = np.abs(mass - mass[0])
+            dz = states[:, :n] - states[0, :n]
+            sd = np.abs(dz, out=dz).max(axis=1)
+        elif kind != "raw":
             z0 = rho0 = None
             for i in range(m):
                 try:
@@ -277,11 +313,16 @@ class Trajectory:
         return state_field_names(self.kind, self.n if self.kind != "raw" else self.states.shape[1])
 
     def to_csv(self, stream):
-        w = csv.writer(stream, lineterminator="\n")
-        w.writerow(["t"] + self.field_names + ["sum_rho_drift", "spectrum_drift"])
-        for i in range(self.times.size):
-            row = [self.times[i], *self.states[i], self.sum_rho_drift[i], self.spectrum_drift[i]]
-            w.writerow([f"{x:.17g}" for x in row])
+        """One header line, then one line per sample with every number
+        printed to 17 significant digits, which round-trips the doubles."""
+        names = ["t", *self.field_names, "sum_rho_drift", "spectrum_drift"]
+        stream.write(",".join(names) + "\n")
+        fmt = ",".join(["%.17g"] * len(names)) + "\n"
+        times = self.times.tolist()
+        sr = self.sum_rho_drift.tolist()
+        sd = self.spectrum_drift.tolist()
+        for i, row in enumerate(self.states):
+            stream.write(fmt % (times[i], *row.tolist(), sr[i], sd[i]))
 
     def to_payload(self):
         return {
@@ -311,15 +352,15 @@ def rk4(field, state, dt, t_final, kind="raw", n=None, record_every=1):
     exactly. Records every record_every-th step plus both endpoints. Raises
     NonFiniteState as soon as a step leaves the finite floats.
     """
-    if dt <= 0:
+    if not dt > 0:
         raise DomainViolation("dt must be positive")
     if t_final < 0:
         raise DomainViolation("t_final must be >= 0")
     _check_record_every(record_every)
+    nsteps = _step_count(t_final, dt)
     x = np.array(state, dtype=float)
     if n is None:
         n = x.size
-    nsteps = 0 if t_final == 0 else int(np.ceil(t_final / dt - 1e-12))
     times = [0.0]
     rows = [x.copy()]
     t = 0.0
@@ -349,21 +390,30 @@ def _lax_field(n, k):
 
 def evolve(obj, spec, record_every=1):
     """Run a FlowSpec on a JacobiMatrix or SpectralData, converting the state
-    to the chart the method wants. Exact propagation samples the closed form
-    on the dt grid; the RK4 methods integrate in the c-v chart."""
+    to the chart the method wants. Exact propagation evaluates the closed form
+    at the recorded points of the dt grid only; the RK4 methods integrate in
+    the c-v chart."""
     _check_record_every(record_every)
     if spec.method == "exact":
         S = obj if isinstance(obj, SpectralData) else direct_transform(obj)
-        nsteps = 0 if spec.t_final == 0 else int(np.ceil(spec.t_final / spec.dt - 1e-12))
-        times = [0.0]
-        rows = [np.concatenate([S.z, S.rho])]
-        for i in range(1, nsteps + 1):
-            t = min(i * spec.dt, spec.t_final)
-            if i % record_every == 0 or i == nsteps:
-                St = exact_flow(S, spec.k, t)
-                times.append(t)
-                rows.append(np.concatenate([St.z, St.rho]))
-        return Trajectory.build("spectral", S.n, np.array(times), np.array(rows))
+        _require_normalized(S)
+        n = S.n
+        nsteps = _step_count(spec.t_final, spec.dt)
+        # an interval beyond the step count records the endpoints only; the
+        # clamp keeps arange within int64 for any record_every
+        every = min(record_every, nsteps + 1)
+        steps = np.arange(every, nsteps + 1, every)
+        if nsteps % every:
+            steps = np.append(steps, nsteps)
+        times = np.concatenate([[0.0], np.minimum(steps * spec.dt, spec.t_final)])
+        states = np.empty((times.size, 2 * n))
+        states[:, :n] = S.z
+        states[0, n:] = S.rho
+        block = max(1, _EXACT_BLOCK // n)
+        for lo in range(1, times.size, block):
+            hi = lo + block
+            states[lo:hi, n:] = _exact_rho(S.z, S.rho, spec.k, times[lo:hi])
+        return Trajectory.build("spectral", n, times, states)
 
     if isinstance(obj, SpectralData):
         from .spectral import inverse_transform

@@ -1,9 +1,15 @@
 """Dense and loop-by-loop reference implementations of the banded and
-vectorized kernels, kept for the tests to compare against."""
+vectorized kernels and of the output writers, kept for the tests to compare
+against."""
+
+import csv
+import json
 
 import numpy as np
 
 from opentoda.brackets import cv_unpack
+from opentoda.errors import OverflowGuard
+from opentoda.flows import exact_flow
 
 
 def dense(v, c):
@@ -82,3 +88,74 @@ def pi_cv_loop(p, n, x):
             if k + 1 <= n - 2:
                 M[n + k + 1, k] = -0.5 * c[k] ** 2 * c[k + 1]
     return M - M.T
+
+
+def exact_flow_rho(z, rho, k, t):
+    """Residues of the closed-form X_k flow at one time t, evaluated on 1-D
+    arrays; the OverflowGuard checks come in the same order."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = z**k * t
+    if not np.all(np.isfinite(e)):
+        raise OverflowGuard("flow exponents z^k t overflow")
+    w = rho * np.exp(e - e.max())
+    tot = float(np.sum(w))
+    if not np.isfinite(tot) or tot <= 0.0:
+        raise OverflowGuard("residue mass lost to underflow")
+    return w / tot
+
+
+def exact_evolve_loop(S, k, t_final, dt, record_every=1):
+    """(times, states) of an exact evolve, stepping through every index of
+    the dt grid and calling exact_flow on each recorded one."""
+    nsteps = 0 if t_final == 0 else int(np.ceil(t_final / dt - 1e-12))
+    times = [0.0]
+    rows = [np.concatenate([S.z, S.rho])]
+    for i in range(1, nsteps + 1):
+        t = min(i * dt, t_final)
+        if i % record_every == 0 or i == nsteps:
+            St = exact_flow(S, k, t)
+            times.append(t)
+            rows.append(np.concatenate([St.z, St.rho]))
+    return np.array(times), np.array(rows)
+
+
+def spectral_drifts(n, states):
+    """(sum_rho_drift, spectrum_drift) of spectral rows, one row at a time."""
+    m = len(states)
+    sr = np.zeros(m)
+    sd = np.zeros(m)
+    z0 = states[0][:n]
+    rho0 = float(np.sum(states[0][n:]))
+    for i in range(m):
+        sr[i] = abs(float(np.sum(states[i][n:])) - rho0)
+        sd[i] = float(np.max(np.abs(states[i][:n] - z0)))
+    return sr, sd
+
+
+def trajectory_csv(traj, stream):
+    """Trajectory.to_csv written through the csv module."""
+    w = csv.writer(stream, lineterminator="\n")
+    w.writerow(["t"] + traj.field_names + ["sum_rho_drift", "spectrum_drift"])
+    for i in range(traj.times.size):
+        row = [traj.times[i], *traj.states[i], traj.sum_rho_drift[i], traj.spectrum_drift[i]]
+        w.writerow([f"{x:.17g}" for x in row])
+
+
+def dump_json(doc, stream):
+    """cli.dump_json through json.dump's own indenting encoder."""
+    json.dump(doc, stream, sort_keys=True, separators=(",", ": "), indent=1)
+    stream.write("\n")
+
+
+def rand_spectral(rng, n, positive=False, min_gap=0.05, rho_floor=1e-2):
+    """cli._rand_spectral as unbounded one-draw-at-a-time rejection loops."""
+    lo, hi = (0.5, 6.0) if positive else (-3.0, 3.0)
+    while True:
+        z = np.sort(rng.uniform(lo, hi, size=n))
+        if n == 1 or float(np.min(np.diff(z))) >= min_gap:
+            break
+    while True:
+        rho = rng.dirichlet(np.ones(n))
+        if n == 1 or float(rho.min()) >= rho_floor:
+            break
+    return z, rho

@@ -2,10 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import opentoda
 from opentoda import (
     JacobiMatrix,
     PhasePoint,
@@ -13,7 +18,10 @@ from opentoda import (
     conventions_hash,
     exact_flow,
 )
+from opentoda import cli
 from opentoda.cli import main, make_envelope, parse_envelope
+
+import oracles
 
 LN2 = "0.6931471805599453"
 
@@ -323,3 +331,42 @@ def test_config_unknown_key(tmp_path, capsys):
     rc, _, err = run(["verify", "--config", str(cfg)], capsys)
     assert rc == 2
     assert "does not match any flag" in err
+
+
+def test_evolve_step_budget(tmp_path, capsys):
+    path = write_envelope(tmp_path, worked_spectral())
+    for method in ("exact", "rk4-lax"):
+        for every in ("1", "1000000000"):
+            rc, out, err = run(
+                ["evolve", path, "--method", method, "--t", "1e9", "--dt", "1e-9",
+                 "--record-every", every],
+                capsys,
+            )
+            assert rc == 2 and out == ""
+            assert "MAX_STEPS" in err
+
+
+@pytest.mark.parametrize(
+    "n, positive, min_gap, rho_floor",
+    [(1, False, 0.05, 1e-2), (4, False, 0.05, 1e-2), (6, False, 0.4, 0.05), (9, True, 0.4, 0.05)],
+)
+def test_rand_spectral_draws_like_one_at_a_time(n, positive, min_gap, rho_floor):
+    for seed in range(3):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        S = cli._rand_spectral(a, n, positive=positive, min_gap=min_gap, rho_floor=rho_floor)
+        z, rho = oracles.rand_spectral(b, n, positive, min_gap, rho_floor)
+        np.testing.assert_array_equal(S.z, z)
+        np.testing.assert_array_equal(S.rho, rho)
+        assert a.random() == b.random()
+
+
+def test_verify_large_n_exits_2():
+    # from n = 12 on, the Darboux suite asks for pole gaps that rarely or never fit
+    src = str(Path(opentoda.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "opentoda.cli", "verify", "--n", "15"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "error:" in proc.stderr and "draws" in proc.stderr

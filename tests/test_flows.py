@@ -28,7 +28,7 @@ from opentoda import (
 from opentoda import flows
 
 from conftest import random_jacobi, random_spectral
-from oracles import lax_commutator
+from oracles import exact_evolve_loop, exact_flow_rho, lax_commutator, spectral_drifts
 
 
 def test_flow_spec_validation():
@@ -318,3 +318,85 @@ def test_trajectory_diagnostics_propagate_other_errors(rng, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", broken)
     with pytest.raises(RuntimeError, match="not a Toda failure"):
         Trajectory.build("jacobi", 4, np.arange(2.0), rows)
+
+
+def test_step_budget():
+    for method in ("exact", "rk4-lax"):
+        with pytest.raises(DomainViolation, match="MAX_STEPS"):
+            FlowSpec(k=1, method=method, t_final=1e9, dt=1e-9)
+    # t_final / dt overflows to inf
+    with pytest.raises(DomainViolation, match="MAX_STEPS"):
+        FlowSpec(k=1, method="exact", t_final=1e300, dt=1e-300)
+    with pytest.raises(DomainViolation, match="dt"):
+        FlowSpec(k=1, method="exact", t_final=1.0, dt=float("nan"))
+    FlowSpec(k=1, method="exact", t_final=float(flows.MAX_STEPS), dt=1.0)
+    with pytest.raises(DomainViolation, match="MAX_STEPS"):
+        rk4(lambda x: -x, np.array([1.0]), 1e-9, 1e9, record_every=10**9)
+
+
+def test_exact_flow_matches_one_time_formula(rng):
+    for n in (1, 2, 7, 64):
+        S = random_spectral(rng, n, min_gap=0.0)
+        for k in (1, 2, 3):
+            for t in (0.0, 1e-3, 0.7, -2.5, 40.0):
+                want = exact_flow_rho(S.z, S.rho, k, t)
+                np.testing.assert_array_equal(exact_flow(S, k, t).rho, want)
+
+
+@pytest.mark.parametrize(
+    "n, t_final, dt, every",
+    [
+        (3, 1.0, 0.1, 1),
+        (3, 1.0, 0.1, 3),
+        (3, 1.05, 0.1, 4),  # t_final off the dt grid: the last step is short
+        (3, 0.0, 0.1, 1),
+        (3, 0.3, 0.1, 10**30),  # endpoints only, interval beyond int64
+        (1, 0.5, 0.1, 1),
+        (300, 0.6, 1e-3, 1),  # several blocks of rows
+    ],
+)
+def test_evolve_exact_matches_exact_flow_loop(rng, n, t_final, dt, every):
+    S = random_spectral(rng, n, min_gap=0.0)
+    traj = evolve(S, FlowSpec(k=2, method="exact", t_final=t_final, dt=dt), record_every=every)
+    times, states = exact_evolve_loop(S, 2, t_final, dt, every)
+    np.testing.assert_array_equal(traj.times, times)
+    np.testing.assert_array_equal(traj.states, states)
+    sr, sd = spectral_drifts(n, states)
+    np.testing.assert_array_equal(traj.sum_rho_drift, sr)
+    np.testing.assert_array_equal(traj.spectrum_drift, sd)
+
+
+def test_evolve_exact_overflow_guard():
+    # z t is finite up to t = 1e8 and overflows from t = 2e8 on
+    S = SpectralData(z=np.array([0.0, 1e300]), rho=np.array([0.5, 0.5]))
+    for every in (1, 3):
+        with pytest.raises(OverflowGuard, match="exponents"):
+            evolve(S, FlowSpec(k=1, method="exact", t_final=4e8, dt=1e8), record_every=every)
+        with pytest.raises(OverflowGuard, match="exponents"):
+            exact_evolve_loop(S, 1, 4e8, 1e8, every)
+
+
+def test_exact_rho_raises_for_the_first_failing_row():
+    # at t = -1000 the dominant exponent sits on a zero residue, so the mass
+    # underflows; at t = -1e10, z t overflows
+    z = np.array([-1.0, 1e300])
+    rho = np.array([0.0, 1.0])
+    for times, match in (((-1000.0, -1e10), "underflow"), ((-1e10, -1000.0), "exponents")):
+        with pytest.raises(OverflowGuard, match=match):
+            flows._exact_rho(z, rho, 1, np.array(times))
+        with pytest.raises(OverflowGuard, match=match):
+            exact_flow_rho(z, rho, 1, times[0])
+
+
+def test_spectral_diagnostics_match_row_loop(rng):
+    for n in (1, 5, 513):
+        S = random_spectral(rng, n, min_gap=0.0)
+        states = np.concatenate([S.z, S.rho]) + rng.normal(scale=1e-3, size=(6, 2 * n))
+        states[2, 0] = np.nan
+        states[3, -1] = np.inf
+        states[4, n - 1] = -np.inf
+        for rows in (states, states[2:], states[:1]):
+            traj = Trajectory.build("spectral", n, np.arange(len(rows)), rows)
+            sr, sd = spectral_drifts(n, rows)
+            np.testing.assert_array_equal(traj.sum_rho_drift, sr)
+            np.testing.assert_array_equal(traj.spectrum_drift, sd)
