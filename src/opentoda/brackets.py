@@ -165,31 +165,27 @@ class PoissonStructure:
 # ---------------------------------------------------------------------------
 # finite differences
 
-def fd_gradient(fn, x, step=FD_STEP):
+def _central_differences(fn, x, step=FD_STEP):
+    """(fn(x + h e_l) - fn(x - h e_l)) / 2h with h = step (1 + |x_l|), for
+    each coordinate l of x, stacked along a new first axis."""
     x = np.asarray(x, dtype=float)
-    g = np.empty(x.size)
+    rows = []
     for l in range(x.size):
         h = step * (1.0 + abs(x[l]))
         xp = x.copy()
         xm = x.copy()
         xp[l] += h
         xm[l] -= h
-        g[l] = (fn(xp) - fn(xm)) / (2.0 * h)
-    return g
+        rows.append((np.asarray(fn(xp), dtype=float) - np.asarray(fn(xm), dtype=float)) / (2.0 * h))
+    return np.array(rows)
+
+
+def fd_gradient(fn, x, step=FD_STEP):
+    return _central_differences(fn, x, step)
 
 
 def fd_jacobian(fn, x):
-    x = np.asarray(x, dtype=float)
-    y0 = np.asarray(fn(x), dtype=float)
-    J = np.empty((y0.size, x.size))
-    for l in range(x.size):
-        h = FD_STEP * (1.0 + abs(x[l]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[l] += h
-        xm[l] -= h
-        J[:, l] = (np.asarray(fn(xp), dtype=float) - np.asarray(fn(xm), dtype=float)) / (2.0 * h)
-    return J
+    return np.ascontiguousarray(_central_differences(fn, x).T)
 
 
 # ---------------------------------------------------------------------------
@@ -485,16 +481,8 @@ def jacobi_residual(P, state, triples=None):
     given index triples, or over all when triples is None.
     """
     x = np.asarray(state, dtype=float)
-    d = x.size
     T0 = P.tensor(x)
-    dT = np.empty((d, d, d))
-    for l in range(d):
-        h = FD_STEP * (1.0 + abs(x[l]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[l] += h
-        xm[l] -= h
-        dT[l] = (P.tensor(xp) - P.tensor(xm)) / (2.0 * h)
+    dT = _central_differences(P.tensor, x)
     A = np.einsum("lij,lk->ijk", dT, T0)
     R = A + A.transpose(1, 2, 0) + A.transpose(2, 0, 1)
     if triples is None:

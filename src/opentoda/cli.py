@@ -15,46 +15,33 @@ import numpy as np
 
 from . import __version__, conventions_hash
 from .brackets import (
-    Observable,
-    PoissonStructure,
     WeightFn,
-    action_sum,
     bracket_terms,
-    casimir_residual,
     closed_form_bracket,
-    cv_pack,
-    dirac_restrict,
-    fd_gradient,
     jacobi_residual,
-    neg_log_mass,
-    pi0_cv,
-    pi1_cv,
-    pi2_cv,
-    pushforward,
     zrho_pack,
     zrho_restricted_tensor,
     zrho_tensor,
 )
-from .charts import (
-    action_angle_map,
-    gamma_pi_map,
-    iy_map,
-    numerator_values,
-    verify_canonical,
-    zq_map,
+from .charts import action_angle_map, gamma_pi_map, iy_map, verify_canonical
+from .errors import ConvergenceFailure, NonFiniteState, OverflowGuard, TodaError
+from .flows import FlowSpec, evolve, exact_flow, hamiltonian_field, lax_rhs
+from .properties import (
+    TOL,
+    WORKED_TOL,
+    constraint_casimir_residuals,
+    corrupt,
+    cv_casimir_residuals,
+    dirac_residuals,
+    random_jacobi,
+    random_spectral,
+    restricted_flow_gap,
+    worked_example,
+    zq_gap,
 )
-from .errors import (
-    ConvergenceFailure,
-    DomainViolation,
-    NonFiniteState,
-    OverflowGuard,
-    TodaError,
-)
-from .flows import FlowSpec, evolve, exact_flow, hamiltonian_field, lax_rhs, spectral_field
 from .spectral import (
     SpectralData,
     direct_transform,
-    gammas,
     inverse_transform,
     inverse_transform_stieltjes,
     weyl_eval,
@@ -266,45 +253,13 @@ def cmd_bracket(args):
 
 
 def cmd_demo(args):
-    checks = []
-
-    def check(name, got, want, tol=1e-12):
-        got = np.atleast_1d(np.asarray(got, dtype=float))
-        want = np.atleast_1d(np.asarray(want, dtype=float))
-        err = float(np.max(np.abs(got - want)))
-        checks.append((name, got, err, err <= tol))
-
-    pt = PhasePoint(q=np.zeros(2), p=np.zeros(2))
-    J = flaschka(pt)
-    check("flaschka v", J.v, [0.0, 0.0])
-    check("flaschka c", J.c, [1.0])
-    S = direct_transform(J)
-    check("spectrum z", S.z, [-1.0, 1.0])
-    check("residues rho", S.rho, [0.5, 0.5])
-    g, q0 = gammas(S)
-    check("numerator root gamma", g, [0.0])
-    check("total mass q0", q0, 1.0)
-    check("weyl at 2", weyl_eval(S, 2.0), -2.0 / 3.0)
-    f1 = WeightFn.power(0)
-    check(
-        "bracket f=1 p=2 q=3",
-        float(np.sum(bracket_terms(S, 2.0, 3.0, f1))),
-        -49.0 / 576.0,
-    )
-    check(
-        "restricted bracket f=1 p=2 q=3",
-        float(np.sum(bracket_terms(S, 2.0, 3.0, f1, restricted=True))),
-        -7.0 / 576.0,
-    )
-    St = exact_flow(S, 1, float(np.log(2.0)))
-    check("flow at t=ln 2", St.rho, [0.2, 0.8])
-    Jb = inverse_transform(S)
-    check("inverse v", Jb.v, J.v)
-    check("inverse c", Jb.c, J.c)
-
-    width = max(len(name) for name, *_ in checks)
+    checks = worked_example()
+    width = max(len(name) for name, _, _ in checks)
     ok = True
-    for name, got, err, passed in checks:
+    for name, got, want in checks:
+        got = np.atleast_1d(np.asarray(got, dtype=float))
+        err = float(np.max(np.abs(got - np.asarray(want, dtype=float))))
+        passed = err <= WORKED_TOL
         ok &= passed
         shown = ", ".join(f"{x:.12g}" for x in got)
         status = "ok" if passed else "FAIL"
@@ -316,95 +271,36 @@ def cmd_demo(args):
 # ---------------------------------------------------------------------------
 # verification suites
 
-# Rejection draws allowed per sample. Up to n = 11 an accepted sample needs
-# at worst about 6e5 draws on average (n = 11, gap floor 0.4 on [0.5, 6],
-# acceptance (1 - 10 * 0.4 / 5.5)^11 = 1.6e-6), so the cap changes no draw
-# that succeeds there (a miss has probability e^-16). From n = 12 on, the
-# floors are met rarely and from n = 15 on never; the draw then raises
-# instead of hanging, after about 3 s of batched draws.
-_MAX_DRAWS = 10**7
-
-
-def _draw_accepted(rng, draw, accept, what):
-    """The first sample that passes accept among up to _MAX_DRAWS successive
-    samples, with rng left exactly where drawing them one at a time would.
-
-    draw(rng, m) returns m samples as the rows of an array; numpy's
-    generators give the same numbers for m samples at once as for m single
-    draws. Batches double from one sample up to 4096; once a batch holds an
-    accepted sample, rng is rewound and only the samples up to it are drawn
-    again. Raises DomainViolation when no sample passes.
-    """
-    tried, m = 0, 1
-    while tried < _MAX_DRAWS:
-        m = min(m, _MAX_DRAWS - tried)
-        state = rng.bit_generator.state
-        hits = np.flatnonzero(accept(draw(rng, m)))
-        if hits.size:
-            rng.bit_generator.state = state
-            return draw(rng, hits[0] + 1)[-1]
-        tried += m
-        m = min(2 * m, 4096)
-    raise DomainViolation(f"no {what} in {_MAX_DRAWS} random draws")
-
-
-def _rand_spectral(rng, n, positive=False, min_gap=0.05, rho_floor=1e-2):
-    lo, hi = (0.5, 6.0) if positive else (-3.0, 3.0)
-    z = _draw_accepted(
-        rng,
-        lambda r, m: np.sort(r.uniform(lo, hi, size=(m, n)), axis=1),
-        lambda zs: np.diff(zs, axis=1).min(axis=1, initial=np.inf) >= min_gap,
-        f"{n} poles in [{lo}, {hi}] spaced {min_gap} or more apart",
-    )
-    # the residue floor keeps 1/rho truncation terms of the FD-based checks
-    # bounded; it conditions the flat simplex draw, nothing more
-    rho = _draw_accepted(
-        rng,
-        lambda r, m: r.dirichlet(np.ones(n), size=m),
-        lambda rhos: (n == 1) | (rhos.min(axis=1) >= rho_floor),
-        f"{n} residues of at least {rho_floor}",
-    )
-    return SpectralData(z=z, rho=rho)
-
-
-def _rand_jacobi(rng, n):
-    v = rng.uniform(-3.0, 3.0, size=n)
-    c = rng.uniform(0.1, 3.0, size=n - 1)
-    return JacobiMatrix(v=v, c=c)
-
-
-def _prop(name, residuals, tol, cases):
+def _prop(name, residuals, cases):
     worst = float(np.max(residuals)) if len(residuals) else 0.0
     return {
         "property": name,
         "cases": cases,
         "max_residual": worst,
-        "tol": tol,
-        "pass": bool(worst <= tol),
+        "tol": TOL[name],
+        "pass": bool(worst <= TOL[name]),
     }
+
+
+def _entry_gap(A, J):
+    """Largest entry-wise gap between two Jacobi matrices."""
+    return max(
+        float(np.max(np.abs(A.v - J.v))),
+        float(np.max(np.abs(A.c - J.c))) if J.n > 1 else 0.0,
+    )
 
 
 def suite_roundtrip(rng, n, trials):
     lanczos, stieltjes, weyl3, mass = [], [], [], []
     for trial in range(trials):
         size = 1 + trial % n
-        J = _rand_jacobi(rng, size)
+        J = random_jacobi(rng, size)
         scale = 1.0 + max(
             float(np.max(np.abs(J.v))), float(np.max(J.c)) if size > 1 else 0.0
         )
         S = direct_transform(J)
-        Jb = inverse_transform(S)
-        err = max(
-            float(np.max(np.abs(Jb.v - J.v))),
-            float(np.max(np.abs(Jb.c - J.c))) if size > 1 else 0.0,
-        )
-        lanczos.append(err / scale)
-        Js = inverse_transform_stieltjes(S)
-        err = max(
-            float(np.max(np.abs(Js.v - J.v))),
-            float(np.max(np.abs(Js.c - J.c))) if size > 1 else 0.0,
-        )
-        stieltjes.append(err / scale)
+        lanczos.append(_entry_gap(inverse_transform(S), J) / scale)
+        stieltjes.append(_entry_gap(inverse_transform_stieltjes(S), J) / scale)
         mass.append(abs(float(np.sum(S.rho)) - 1.0))
         if size > 1:
             x = 3.0 + float(np.max(np.abs(S.z)))
@@ -415,27 +311,11 @@ def suite_roundtrip(rng, n, trials):
             ref = max(abs(a), 1e-30)
             weyl3.append(max(abs(a - b), abs(a - c_)) / ref)
     return [
-        _prop("roundtrip_lanczos", lanczos, 1e-10, trials),
-        _prop("roundtrip_stieltjes", stieltjes, 1e-8, trials),
-        _prop("weyl_three_routes", weyl3, 1e-8, len(weyl3)),
-        _prop("residue_mass", mass, 1e-10, trials),
+        _prop("roundtrip_lanczos", lanczos, trials),
+        _prop("roundtrip_stieltjes", stieltjes, trials),
+        _prop("weyl_three_routes", weyl3, len(weyl3)),
+        _prop("residue_mass", mass, trials),
     ]
-
-
-def _corrupt(P):
-    base = P.tensor_fn
-
-    def tensor(x):
-        T = base(x)
-        T = T.copy()
-        T[0, 1] += 1.0
-        T[1, 0] -= 1.0
-        return T
-
-    return PoissonStructure(
-        chart=P.chart, name=P.name + "_corrupted", tensor_fn=tensor, f=P.f,
-        restricted=P.restricted,
-    )
 
 
 def suite_jacobi(rng, n, trials, negative=False):
@@ -443,39 +323,31 @@ def suite_jacobi(rng, n, trials, negative=False):
     unres, res, dirac_gap, unit = [], [], [], []
     for trial in range(trials):
         size = 2 + trial % max(1, n - 1)
-        S = _rand_spectral(rng, size)
+        S = random_spectral(rng, size)
         x = zrho_pack(S)
         f = weights[trial % 4]
         P = zrho_tensor(f, size)
         if negative:
-            P = _corrupt(P)
+            P = corrupt(P)
         unres.append(jacobi_residual(P, x))
-        R = zrho_restricted_tensor(f, size)
-        res.append(jacobi_residual(R, x))
+        res.append(jacobi_residual(zrho_restricted_tensor(f, size), x))
         # constraint pairings for powers >= 1 carry 1/f gradients; those run
         # on the positive-spectrum states of the second loop
         if f.power_n == 0:
-            D = dirac_restrict(zrho_tensor(f, size), action_sum(f, size), neg_log_mass(size))
-            dirac_gap.append(float(np.max(np.abs(D.tensor(x) - R.tensor(x)))))
-            g1 = action_sum(f, size).gradient(x)
-            g2 = neg_log_mass(size).gradient(x)
-            unit.append(abs(float(g1 @ zrho_tensor(f, size).tensor(x) @ g2) - 1.0))
+            gap, pair = dirac_residuals(f, S)
+            dirac_gap.append(gap)
+            unit.append(pair)
     for trial in range(trials):
         size = 2 + trial % max(1, n - 1)
-        S = _rand_spectral(rng, size, positive=True)
-        x = zrho_pack(S)
-        f = weights[trial % 3 + 1]
-        D = dirac_restrict(zrho_tensor(f, size), action_sum(f, size), neg_log_mass(size))
-        R = zrho_restricted_tensor(f, size)
-        dirac_gap.append(float(np.max(np.abs(D.tensor(x) - R.tensor(x)))))
-        g1 = action_sum(f, size).gradient(x)
-        g2 = neg_log_mass(size).gradient(x)
-        unit.append(abs(float(g1 @ zrho_tensor(f, size).tensor(x) @ g2) - 1.0))
+        S = random_spectral(rng, size, positive=True)
+        gap, pair = dirac_residuals(weights[trial % 3 + 1], S)
+        dirac_gap.append(gap)
+        unit.append(pair)
     return [
-        _prop("jacobi_identity", unres, 1e-6, trials),
-        _prop("jacobi_identity_restricted", res, 1e-6, trials),
-        _prop("dirac_matches_closed_form", dirac_gap, 1e-10, len(dirac_gap)),
-        _prop("constraint_bracket_unit", unit, 1e-9, len(unit)),
+        _prop("jacobi_identity", unres, trials),
+        _prop("jacobi_identity_restricted", res, trials),
+        _prop("dirac_matches_closed_form", dirac_gap, len(dirac_gap)),
+        _prop("constraint_bracket_unit", unit, len(unit)),
     ]
 
 
@@ -483,7 +355,7 @@ def suite_hierarchy(rng, n, trials):
     pmatch, laxmatch, specmatch, semigroup = [], [], [], []
     for trial in range(trials):
         size = 2 + trial % max(1, n - 1)
-        J = _rand_jacobi(rng, size)
+        J = random_jacobi(rng, size)
         k = 1 + trial % 3
         fields = []
         for p in range(min(k, 2) + 1):
@@ -496,28 +368,19 @@ def suite_hierarchy(rng, n, trials):
         laxmatch.append(
             float(np.max(np.abs(np.concatenate([vdot, cdot]) - fields[0]))) / ref
         )
-        S = _rand_spectral(rng, size)
-        zdot, rhodot = spectral_field(S, k)
-        x = zrho_pack(S)
+        S = random_spectral(rng, size)
         for p in range(min(k, 2) + 1):
-            f = WeightFn.power(p)
-            T = zrho_restricted_tensor(f, size).tensor(x)
-            g = np.zeros(2 * size)
-            g[:size] = S.z ** (k - p)
-            xdot = T @ g
-            specmatch.append(
-                float(np.max(np.abs(xdot - np.concatenate([zdot, rhodot]))))
-            )
+            specmatch.append(restricted_flow_gap(S, k, p))
         t1 = 0.3 + 0.1 * (trial % 3)
         t2 = 0.7
         A = exact_flow(exact_flow(S, k, t1), k, t2)
         B = exact_flow(S, k, t1 + t2)
         semigroup.append(float(np.max(np.abs(A.rho - B.rho))))
     return [
-        _prop("hamiltonian_field_p_agreement", pmatch, 1e-10, len(pmatch)),
-        _prop("lax_matches_hamiltonian", laxmatch, 1e-10, trials),
-        _prop("restricted_tensor_flow", specmatch, 1e-13, len(specmatch)),
-        _prop("exact_flow_semigroup", semigroup, 1e-12, trials),
+        _prop("hamiltonian_field_p_agreement", pmatch, len(pmatch)),
+        _prop("lax_matches_hamiltonian", laxmatch, trials),
+        _prop("restricted_tensor_flow", specmatch, len(specmatch)),
+        _prop("exact_flow_semigroup", semigroup, trials),
     ]
 
 
@@ -529,11 +392,11 @@ def suite_darboux(rng, n, trials):
     fz = WeightFn.power(1)
     for trial in range(trials):
         size = max(2, 2 + trial % max(1, n - 1))
-        S = _rand_spectral(rng, size, min_gap=0.4, rho_floor=0.05)
+        S = random_spectral(rng, size, min_gap=0.4, rho_floor=0.05)
         x = zrho_pack(S)
         rep = verify_canonical(iy_map(f1, size), zrho_tensor(f1, size), x)
         iy.append(rep["max_deviation"])
-        Sp = _rand_spectral(rng, size, positive=True, min_gap=0.4, rho_floor=0.05)
+        Sp = random_spectral(rng, size, positive=True, min_gap=0.4, rho_floor=0.05)
         xp = zrho_pack(Sp)
         rep = verify_canonical(iy_map(fz, size), zrho_tensor(fz, size), xp)
         iy.append(rep["max_deviation"])
@@ -543,18 +406,12 @@ def suite_darboux(rng, n, trials):
         aa.append(rep["max_deviation"])
         rep = verify_canonical(gamma_pi_map(size), zrho_tensor(f1, size), x)
         gp.append(rep["max_deviation"])
-        T = pushforward(zrho_tensor(f1, size), zq_map(size).map_fn, x)
-        qv = numerator_values(S)
-        E = np.zeros((2 * size, 2 * size))
-        for kk in range(size):
-            E[size + kk, kk] = qv[kk]
-        E = E - E.T
-        zq.append(float(np.max(np.abs(T - E))))
+        zq.append(zq_gap(S))
     return [
-        _prop("iy_canonical", iy, 1e-6, len(iy)),
-        _prop("action_angle_canonical", aa, 1e-6, trials),
-        _prop("gamma_pi_canonical", gp, 1e-6, trials),
-        _prop("zq_relations", zq, 1e-6, trials),
+        _prop("iy_canonical", iy, len(iy)),
+        _prop("action_angle_canonical", aa, trials),
+        _prop("gamma_pi_canonical", gp, trials),
+        _prop("zq_relations", zq, trials),
     ]
 
 
@@ -562,42 +419,17 @@ def suite_casimirs(rng, n, trials):
     tr_res, det_res, inv_res, phi_res = [], [], [], []
     for trial in range(trials):
         size = 2 + trial % max(1, n - 1)
-        J = _rand_jacobi(rng, size)
-        x = cv_pack(J)
-
-        def tr_fn(xx):
-            return float(np.sum(xx[:size]))
-
-        tr_res.append(casimir_residual(pi0_cv(size), Observable(tr_fn), x))
-
-        def det_fn(xx):
-            return float(
-                np.linalg.det(JacobiMatrix(v=xx[:size], c=xx[size:]).to_dense())
-            )
-
-        # det L is affine in each v and quadratic in each c, so a wide central
-        # difference is truncation-free and drowns the cancellation noise
-        det_obs = Observable(det_fn, grad=lambda xx: fd_gradient(det_fn, xx, step=1e-2))
-        det_res.append(casimir_residual(pi1_cv(size), det_obs, x))
-        Jpos = JacobiMatrix(v=J.v + 10.0, c=J.c)
-
-        def trinv_fn(xx):
-            L = JacobiMatrix(v=xx[:size], c=xx[size:]).to_dense()
-            return float(np.trace(np.linalg.inv(L)))
-
-        inv_res.append(casimir_residual(pi2_cv(size), Observable(trinv_fn), cv_pack(Jpos)))
+        J = random_jacobi(rng, size)
+        for residuals, r in zip((tr_res, det_res, inv_res), cv_casimir_residuals(J)):
+            residuals.append(r)
         for m, positive in ((0, False), (1, True), (2, True)):
-            S = _rand_spectral(rng, size, positive=positive)
-            xs = zrho_pack(S)
-            f = WeightFn.power(m)
-            R = zrho_restricted_tensor(f, size)
-            phi_res.append(casimir_residual(R, action_sum(f, size), xs))
-            phi_res.append(casimir_residual(R, neg_log_mass(size), xs))
+            S = random_spectral(rng, size, positive=positive)
+            phi_res.extend(constraint_casimir_residuals(WeightFn.power(m), S))
     return [
-        _prop("pi0_trace_casimir", tr_res, 1e-9, trials),
-        _prop("pi1_det_casimir", det_res, 1e-9, trials),
-        _prop("pi2_trace_inverse_casimir", inv_res, 1e-9, trials),
-        _prop("restricted_constraint_casimirs", phi_res, 1e-9, len(phi_res)),
+        _prop("pi0_trace_casimir", tr_res, trials),
+        _prop("pi1_det_casimir", det_res, trials),
+        _prop("pi2_trace_inverse_casimir", inv_res, trials),
+        _prop("restricted_constraint_casimirs", phi_res, len(phi_res)),
     ]
 
 

@@ -20,8 +20,8 @@ from .errors import (
     StructureViolation,
     TodaError,
 )
-from .spectral import SpectralData, _require_normalized, direct_transform
-from .tridiag import JacobiMatrix, flaschka, power_bands, trace_power
+from .spectral import SpectralData, _require_normalized, direct_transform, inverse_transform
+from .tridiag import JacobiMatrix, PhasePoint, flaschka, power_bands, trace_power
 
 _METHODS = ("exact", "rk4-lax", "rk4-hamiltonian")
 
@@ -248,18 +248,12 @@ def _spectral_view(kind, n, row):
     if kind == "jacobi":
         J = JacobiMatrix(v=row[:n], c=row[n:])
     else:
-        J = flaschka_row(row, n)
+        J = flaschka(PhasePoint(q=row[:n], p=row[n:]))
     try:
         z, V = np.linalg.eigh(J.to_dense())
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"diagnostics eigensolve failed: {exc}") from None
     return z, V[0] ** 2
-
-
-def flaschka_row(row, n):
-    from .tridiag import PhasePoint
-
-    return flaschka(PhasePoint(q=row[:n], p=row[n:]))
 
 
 @dataclass(frozen=True)
@@ -416,8 +410,6 @@ def evolve(obj, spec, record_every=1):
         return Trajectory.build("spectral", n, times, states)
 
     if isinstance(obj, SpectralData):
-        from .spectral import inverse_transform
-
         J = inverse_transform(obj)
     else:
         J = obj

@@ -1,0 +1,264 @@
+"""The verified properties of the package, defined once.
+
+`toda verify`, `toda demo` and the acceptance gate in tests/ all read their
+tolerances, random states and residuals from here:
+
+- TOL, the tolerance of each property that `toda verify` reports;
+- the seeded generators of random Jacobi matrices and spectral data;
+- the residuals shared by the verify suites and the tests: the Casimirs of
+  pi_0, pi_1, pi_2 in the c-v chart, the constraint pair on the restricted
+  tensor, the Dirac reduction and its constraint pairing, the restricted
+  tensor as the generator of the hierarchy flows, and the z-q relations;
+- the negative control of the Jacobi identity check;
+- the pinned two-site worked example.
+"""
+
+import dataclasses
+
+import numpy as np
+
+from .brackets import (
+    Observable,
+    WeightFn,
+    action_sum,
+    bracket_terms,
+    casimir_residual,
+    cv_pack,
+    dirac_restrict,
+    fd_gradient,
+    neg_log_mass,
+    pi0_cv,
+    pi1_cv,
+    pi2_cv,
+    pushforward,
+    zrho_pack,
+    zrho_restricted_tensor,
+    zrho_tensor,
+)
+from .charts import numerator_values, zq_map
+from .errors import DomainViolation
+from .flows import exact_flow, spectral_field
+from .spectral import SpectralData, direct_transform, gammas, inverse_transform, weyl_eval
+from .tridiag import JacobiMatrix, PhasePoint, flaschka
+
+# Largest residual each property of `toda verify` accepts, by property name.
+TOL = {
+    "roundtrip_lanczos": 1e-10,
+    "roundtrip_stieltjes": 1e-8,
+    "weyl_three_routes": 1e-8,
+    "residue_mass": 1e-10,
+    "jacobi_identity": 1e-6,
+    "jacobi_identity_restricted": 1e-6,
+    "dirac_matches_closed_form": 1e-10,
+    "constraint_bracket_unit": 1e-9,
+    "hamiltonian_field_p_agreement": 1e-10,
+    "lax_matches_hamiltonian": 1e-10,
+    "restricted_tensor_flow": 1e-13,
+    "exact_flow_semigroup": 1e-12,
+    "iy_canonical": 1e-6,
+    "action_angle_canonical": 1e-6,
+    "gamma_pi_canonical": 1e-6,
+    "zq_relations": 1e-6,
+    "pi0_trace_casimir": 1e-9,
+    "pi1_det_casimir": 1e-9,
+    "pi2_trace_inverse_casimir": 1e-9,
+    "restricted_constraint_casimirs": 1e-9,
+}
+
+# Largest error each check of the worked example accepts.
+WORKED_TOL = 1e-12
+
+
+# ---------------------------------------------------------------------------
+# seeded generators
+
+# Rejection draws allowed per sample. Up to n = 11 an accepted sample needs
+# at worst about 6e5 draws on average (n = 11, gap floor 0.4 on [0.5, 6],
+# acceptance (1 - 10 * 0.4 / 5.5)^11 = 1.6e-6), so the cap changes no draw
+# that succeeds there (a miss has probability e^-16). From n = 12 on, the
+# floors are met rarely and from n = 15 on never; the draw then raises
+# instead of hanging, after about 3 s of batched draws.
+_MAX_DRAWS = 10**7
+
+
+def _draw_accepted(rng, draw, accept, what):
+    """The first sample that passes accept among up to _MAX_DRAWS successive
+    samples, with rng left exactly where drawing them one at a time would.
+
+    draw(rng, m) returns m samples as the rows of an array; numpy's
+    generators give the same numbers for m samples at once as for m single
+    draws. Batches double from one sample up to 4096; once a batch holds an
+    accepted sample, rng is rewound and only the samples up to it are drawn
+    again. Raises DomainViolation when no sample passes.
+    """
+    tried, m = 0, 1
+    while tried < _MAX_DRAWS:
+        m = min(m, _MAX_DRAWS - tried)
+        state = rng.bit_generator.state
+        hits = np.flatnonzero(accept(draw(rng, m)))
+        if hits.size:
+            rng.bit_generator.state = state
+            return draw(rng, hits[0] + 1)[-1]
+        tried += m
+        m = min(2 * m, 4096)
+    raise DomainViolation(f"no {what} in {_MAX_DRAWS} random draws")
+
+
+def random_jacobi(rng, n):
+    """v ~ U(-3, 3), c ~ U(0.1, 3)."""
+    v = rng.uniform(-3.0, 3.0, size=n)
+    c = rng.uniform(0.1, 3.0, size=n - 1)
+    return JacobiMatrix(v=v, c=c)
+
+
+def random_spectral(rng, n, positive=False, min_gap=0.05, rho_floor=1e-2):
+    """Sorted poles uniform on [-3, 3] (on [0.5, 6] when positive), spaced at
+    least min_gap apart, and residues from the flat simplex, each at least
+    rho_floor; both by rejection, capped at _MAX_DRAWS draws."""
+    lo, hi = (0.5, 6.0) if positive else (-3.0, 3.0)
+    z = _draw_accepted(
+        rng,
+        lambda r, m: np.sort(r.uniform(lo, hi, size=(m, n)), axis=1),
+        lambda zs: np.diff(zs, axis=1).min(axis=1, initial=np.inf) >= min_gap,
+        f"{n} poles in [{lo}, {hi}] spaced {min_gap} or more apart",
+    )
+    # the residue floor keeps 1/rho truncation terms of the FD-based checks
+    # bounded; it conditions the flat simplex draw, nothing more
+    rho = _draw_accepted(
+        rng,
+        lambda r, m: r.dirichlet(np.ones(n), size=m),
+        lambda rhos: (n == 1) | (rhos.min(axis=1) >= rho_floor),
+        f"{n} residues of at least {rho_floor}",
+    )
+    return SpectralData(z=z, rho=rho)
+
+
+# ---------------------------------------------------------------------------
+# residuals
+
+def cv_casimir(p, n):
+    """The Casimir of pi_p in the c-v chart as an Observable: tr L for p = 0,
+    det L for p = 1, tr L^{-1} for p = 2."""
+
+    def dense(x):
+        return JacobiMatrix(v=x[:n], c=x[n:]).to_dense()
+
+    if p == 0:
+        return Observable(lambda x: float(np.sum(x[:n])))
+    if p == 1:
+
+        def det_fn(x):
+            return float(np.linalg.det(dense(x)))
+
+        # det L is affine in each v and quadratic in each c, so a wide central
+        # difference is truncation-free and drowns the cancellation noise
+        return Observable(det_fn, grad=lambda x: fd_gradient(det_fn, x, step=1e-2))
+    return Observable(lambda x: float(np.trace(np.linalg.inv(dense(x)))))
+
+
+def cv_casimir_residuals(J):
+    """|pi_p grad C_p| for the Casimirs tr L, det L and tr L^{-1} of pi_0,
+    pi_1 and pi_2, in that order.
+
+    tr L^{-1} is taken at L + 10 I instead of L: with |v| <= 3 and c <= 3, as
+    random_jacobi draws them, that matrix is positive definite (Gershgorin).
+    """
+    n = J.n
+    x = cv_pack(J)
+    shifted = cv_pack(JacobiMatrix(v=J.v + 10.0, c=J.c))
+    return (
+        casimir_residual(pi0_cv(n), cv_casimir(0, n), x),
+        casimir_residual(pi1_cv(n), cv_casimir(1, n), x),
+        casimir_residual(pi2_cv(n), cv_casimir(2, n), shifted),
+    )
+
+
+def constraint_casimir_residuals(f, S):
+    """|R grad Phi1| and |R grad Phi2| for the restricted tensor R of weight f
+    and the constraint pair Phi1 = sum F(z_k), Phi2 = -log sum rho_k."""
+    n = S.n
+    x = zrho_pack(S)
+    R = zrho_restricted_tensor(f, n)
+    return (
+        casimir_residual(R, action_sum(f, n), x),
+        casimir_residual(R, neg_log_mass(n), x),
+    )
+
+
+def dirac_residuals(f, S):
+    """(Dirac gap, pairing gap) at S for the weight f.
+
+    The Dirac gap is the largest entry of dirac_restrict(zrho_tensor) minus
+    the closed-form zrho_restricted_tensor; the pairing gap is
+    |{Phi1, Phi2} - 1| on the unrestricted tensor.
+    """
+    n = S.n
+    x = zrho_pack(S)
+    base = zrho_tensor(f, n)
+    phi1, phi2 = action_sum(f, n), neg_log_mass(n)
+    D = dirac_restrict(base, phi1, phi2)
+    gap = float(np.max(np.abs(D.tensor(x) - zrho_restricted_tensor(f, n).tensor(x))))
+    pair = float(phi1.gradient(x) @ base.tensor(x) @ phi2.gradient(x))
+    return gap, abs(pair - 1.0)
+
+
+def restricted_flow_gap(S, k, p):
+    """Largest gap between the restricted tensor of f = z^p applied to the
+    gradient of H = sum z^(k-p) and the k-th hierarchy field at S."""
+    n = S.n
+    grad = np.concatenate([S.z ** (k - p), np.zeros(n)])
+    got = zrho_restricted_tensor(WeightFn.power(p), n).tensor(zrho_pack(S)) @ grad
+    want = np.concatenate(spectral_field(S, k))
+    return float(np.max(np.abs(got - want)))
+
+
+def zq_gap(S):
+    """Largest gap between the z-rho tensor of f = 1 pushed to the z-q chart
+    and its relations {q_k, z_m} = q_k delta_km, {z, z} = 0 = {q, q}."""
+    n = S.n
+    T = pushforward(zrho_tensor(WeightFn.power(0), n), zq_map(n).map_fn, zrho_pack(S))
+    E = np.zeros((2 * n, 2 * n))
+    E[n + np.arange(n), np.arange(n)] = numerator_values(S)
+    return float(np.max(np.abs(T - (E - E.T))))
+
+
+def corrupt(P, delta=1.0):
+    """P with delta added to its (0, 1) entry and taken from its (1, 0) entry:
+    still antisymmetric, but no longer a Poisson tensor, so a Jacobi identity
+    check that passes it is broken."""
+
+    def tensor(x):
+        T = P.tensor_fn(x).copy()
+        T[0, 1] += delta
+        T[1, 0] -= delta
+        return T
+
+    return dataclasses.replace(P, name=P.name + "_corrupted", tensor_fn=tensor)
+
+
+def worked_example():
+    """The two-site lattice at rest with unit coupling, end to end: a list of
+    (name, got, want) whose pinned values hold to WORKED_TOL."""
+    J = flaschka(PhasePoint(q=np.zeros(2), p=np.zeros(2)))
+    S = direct_transform(J)
+    g, q0 = gammas(S)
+    f1 = WeightFn.power(0)
+    Jb = inverse_transform(S)
+    return [
+        ("flaschka v", J.v, [0.0, 0.0]),
+        ("flaschka c", J.c, [1.0]),
+        ("spectrum z", S.z, [-1.0, 1.0]),
+        ("residues rho", S.rho, [0.5, 0.5]),
+        ("numerator root gamma", g, [0.0]),
+        ("total mass q0", q0, 1.0),
+        ("weyl at 2", weyl_eval(S, 2.0), -2.0 / 3.0),
+        ("bracket f=1 p=2 q=3", float(np.sum(bracket_terms(S, 2.0, 3.0, f1))), -49.0 / 576.0),
+        (
+            "restricted bracket f=1 p=2 q=3",
+            float(np.sum(bracket_terms(S, 2.0, 3.0, f1, restricted=True))),
+            -7.0 / 576.0,
+        ),
+        ("flow at t=ln 2", exact_flow(S, 1, float(np.log(2.0))).rho, [0.2, 0.8]),
+        ("inverse v", Jb.v, J.v),
+        ("inverse c", Jb.c, J.c),
+    ]

@@ -154,22 +154,24 @@ def _require_normalized(S):
         raise NotInRatNPrime("need rho_k > 0 and sum(rho) = 1 within 1e-10")
 
 
-def _lanczos_from_spectrum(zs, w0, alpha, beta):
+def _lanczos_from_spectrum(zs, w0):
     """Tridiagonalize diag(zs) starting from the vector w0.
 
-    Writes the recurrence coefficients into alpha (n,) and beta (n-1,); beta
-    comes out positive. Full reorthogonalization is applied twice per step,
-    which keeps the reconstruction valid at n = 8 in double precision.
-    Returns 0 on success, 1 on breakdown (numerically dependent start data).
+    Returns the recurrence coefficients (alpha (n,), beta (n-1,)); beta comes
+    out positive. Full reorthogonalization is applied twice per step, which
+    keeps the reconstruction valid at n = 8 in double precision. Raises
+    ConvergenceFailure on breakdown (numerically dependent start data).
     """
     n = zs.shape[0]
+    alpha = np.zeros(n)
+    beta = np.zeros(n - 1)
     Q = np.zeros((n, n))
     nrm = 0.0
     for i in range(n):
         nrm += w0[i] * w0[i]
     nrm = math.sqrt(nrm)
     if nrm == 0.0:
-        return 1
+        raise ConvergenceFailure("Lanczos breakdown; spectral data degenerate")
     for i in range(n):
         Q[i, 0] = w0[i] / nrm
     u = np.empty(n)
@@ -198,11 +200,11 @@ def _lanczos_from_spectrum(zs, w0, alpha, beta):
                 b += u[i] * u[i]
             b = math.sqrt(b)
             if not (b > 0.0) or not np.isfinite(b):
-                return 1
+                raise ConvergenceFailure("Lanczos breakdown; spectral data degenerate")
             beta[j] = b
             for i in range(n):
                 Q[i, j + 1] = u[i] / b
-    return 0
+    return alpha, beta
 
 
 def inverse_transform(S):
@@ -214,12 +216,7 @@ def inverse_transform(S):
     rho_k > 0 and sum(rho) = 1.
     """
     _require_normalized(S)
-    n = S.n
-    alpha = np.zeros(n)
-    beta = np.zeros(n - 1)
-    status = _lanczos_from_spectrum(S.z, np.sqrt(S.rho), alpha, beta)
-    if status != 0:
-        raise ConvergenceFailure("Lanczos breakdown; spectral data degenerate")
+    alpha, beta = _lanczos_from_spectrum(S.z, np.sqrt(S.rho))
     return JacobiMatrix(v=alpha, c=beta)
 
 

@@ -119,22 +119,22 @@ def unflaschka(J, q0=0.0):
     return PhasePoint(q=q, p=p)
 
 
-def _ql_eigen_first(d, e, z, max_sweeps):
-    """Implicit-shift QL on a symmetric tridiagonal matrix.
+def _ql_eigen_first(diag, off, max_sweeps):
+    """Implicit-shift QL on the symmetric tridiagonal matrix with diagonal
+    diag and off-diagonal off.
 
-    d (n,) holds the diagonal and is overwritten with eigenvalues in ascending
-    order; e (n,) holds the subdiagonal in e[:n-1] (e[n-1] is scratch) and is
-    destroyed; z (n,) is overwritten with the first row of the eigenvector
-    matrix, i.e. z[k] is the first component of the k-th eigenvector.
-    Returns 0 on success, 1 when some eigenvalue needs more than max_sweeps
-    sweeps.
+    Returns (d, z): the eigenvalues in ascending order and the first row of
+    the eigenvector matrix, i.e. z[k] is the first component of the k-th
+    eigenvector. Raises ConvergenceFailure when some eigenvalue needs more
+    than max_sweeps sweeps.
     """
-    n = d.shape[0]
-    for i in range(n):
-        z[i] = 0.0
+    n = diag.shape[0]
+    d = diag.copy()
+    # e[n-1] is scratch
+    e = np.zeros(n)
+    e[: n - 1] = off
+    z = np.zeros(n)
     z[0] = 1.0
-    if n == 1:
-        return 0
     for l in range(n):
         sweeps = 0
         while True:
@@ -148,7 +148,7 @@ def _ql_eigen_first(d, e, z, max_sweeps):
                 break
             sweeps += 1
             if sweeps > max_sweeps:
-                return 1
+                raise ConvergenceFailure(f"QL sweep cap {max_sweeps} exceeded")
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
             r = math.hypot(g, 1.0)
             if g >= 0.0:
@@ -184,17 +184,8 @@ def _ql_eigen_first(d, e, z, max_sweeps):
                 e[l] = g
                 e[m] = 0.0
     # ascending order, carrying the first components along
-    for i in range(1, n):
-        dk = d[i]
-        zk = z[i]
-        j = i - 1
-        while j >= 0 and d[j] > dk:
-            d[j + 1] = d[j]
-            z[j + 1] = z[j]
-            j -= 1
-        d[j + 1] = dk
-        z[j + 1] = zk
-    return 0
+    order = np.argsort(d, kind="stable")
+    return d[order], z[order]
 
 
 def eigen(J, max_sweeps=60):
@@ -204,15 +195,7 @@ def eigen(J, max_sweeps=60):
     when c_k > 0. Raises ConvergenceFailure when the QL iteration exceeds
     max_sweeps for some eigenvalue.
     """
-    n = J.n
-    d = J.v.copy()
-    e = np.zeros(n)
-    if n > 1:
-        e[: n - 1] = J.c
-    z = np.zeros(n)
-    status = _ql_eigen_first(d, e, z, max_sweeps)
-    if status != 0:
-        raise ConvergenceFailure(f"QL sweep cap {max_sweeps} exceeded")
+    d, z = _ql_eigen_first(J.v, J.c, max_sweeps)
     return d, np.abs(z)
 
 

@@ -1,9 +1,14 @@
-"""Shared generators and the quadrature oracle used across the test suite."""
+"""Shared generators and the quadrature oracle used across the test suite.
+
+The generators are those of opentoda.properties; the tests draw residues
+with no floor unless they ask for one."""
 
 import numpy as np
 import pytest
 
-from opentoda import JacobiMatrix, SpectralData, weyl_eval
+from opentoda import JacobiMatrix, weyl_eval
+from opentoda.properties import random_jacobi  # noqa: F401  (re-exported)
+from opentoda.properties import random_spectral as _random_spectral
 
 
 @pytest.fixture
@@ -17,23 +22,8 @@ def worked():
     return JacobiMatrix(v=np.zeros(2), c=np.array([1.0]))
 
 
-def random_jacobi(rng, n):
-    v = rng.uniform(-3.0, 3.0, n)
-    c = rng.uniform(0.1, 3.0, max(n - 1, 0))
-    return JacobiMatrix(v=v, c=c)
-
-
 def random_spectral(rng, n, positive=False, min_gap=0.05, rho_floor=0.0):
-    lo, hi = (0.5, 6.0) if positive else (-3.0, 3.0)
-    while True:
-        z = np.sort(rng.uniform(lo, hi, n))
-        if n == 1 or float(np.min(np.diff(z))) >= min_gap:
-            break
-    while True:
-        rho = rng.dirichlet(np.ones(n))
-        if float(np.min(rho)) >= rho_floor:
-            break
-    return SpectralData(z=z, rho=rho)
+    return _random_spectral(rng, n, positive, min_gap, rho_floor)
 
 
 def contour_bracket(S, p, q, power, restricted=False, points=64):

@@ -148,7 +148,7 @@ def dump_json(doc, stream):
 
 
 def rand_spectral(rng, n, positive=False, min_gap=0.05, rho_floor=1e-2):
-    """cli._rand_spectral as unbounded one-draw-at-a-time rejection loops."""
+    """properties.random_spectral as unbounded one-draw-at-a-time rejection loops."""
     lo, hi = (0.5, 6.0) if positive else (-3.0, 3.0)
     while True:
         z = np.sort(rng.uniform(lo, hi, size=n))

@@ -2,55 +2,55 @@
 
 Each test prints a single pass/fail line so the whole gate reads as a
 checklist under pytest -s. Seeds are pinned; the full file targets well
-under a minute.
+under a minute. Tolerances, residuals and the worked example shared with
+`toda verify` and `toda demo` come from opentoda.properties.
 """
 
 import numpy as np
-import pytest
 
 from conftest import random_jacobi, random_spectral
 from opentoda import (
     FlowSpec,
     JacobiMatrix,
-    Observable,
-    PhasePoint,
-    SpectralData,
     action_angle_map,
-    action_sum,
     analytic_bracket,
     bracket_terms,
-    casimir_residual,
     closed_form_bracket,
     direct_transform,
-    dirac_restrict,
     evolve,
     exact_flow,
-    fd_gradient,
-    flaschka,
     gamma_pi_map,
     gammas,
     hamiltonian_field,
     inverse_transform,
     iy_map,
     jacobi_residual,
-    neg_log_mass,
-    pi0_cv,
-    pi1_cv,
-    pi2_cv,
     pq_polynomials,
-    restricted_bracket,
-    spectral_field,
     verify_canonical,
     weyl_eval,
     zrho_pack,
     zrho_restricted_tensor,
     zrho_tensor,
     WeightFn,
-    cv_pack,
+)
+from opentoda.properties import (
+    TOL,
+    WORKED_TOL,
+    constraint_casimir_residuals,
+    corrupt,
+    cv_casimir_residuals,
+    dirac_residuals,
+    restricted_flow_gap,
+    worked_example,
 )
 
 ONE = WeightFn.power(0)
 Z = WeightFn.power(1)
+
+
+def tol_of(*names):
+    """The tolerance a residual shared by several verify properties must meet."""
+    return min(TOL[name] for name in names)
 
 
 def report(tag, worst, tol):
@@ -99,7 +99,7 @@ def test_ac02_spectral_representation():
         scale = np.maximum.reduce([np.abs(a), np.abs(b), np.abs(c), np.ones_like(a)])
         for u, v in ((a, b), (a, c), (b, c)):
             worst_chi = max(worst_chi, float(np.max(np.abs(u - v) / scale)))
-    report("AC2a spectral class (rho > 0, unit mass, interlacing)", worst_mass, 1e-10)
+    report("AC2a spectral class (rho > 0, unit mass, interlacing)", worst_mass, TOL["residue_mass"])
     report("AC2b Weyl function, three routes pairwise", worst_chi, 1e-8)
 
 
@@ -152,23 +152,15 @@ def test_ac04_jacobi_identity():
         x = zrho_pack(S)
         for P in (zrho_tensor(f, n), zrho_restricted_tensor(f, n)):
             worst = max(worst, jacobi_residual(P, x))
-    report("AC4a Jacobi identity (both tensors, f=z^0..z^3)", worst, 1e-6)
+    report(
+        "AC4a Jacobi identity (both tensors, f=z^0..z^3)",
+        worst,
+        tol_of("jacobi_identity", "jacobi_identity_restricted"),
+    )
 
     # negative control: one corrupted entry must be caught loudly
-    base = zrho_tensor(Z, 3)
-
-    def broken(x):
-        T = base.tensor(x)
-        T[0, 1] += 0.05
-        T[1, 0] -= 0.05
-        return T
-
-    from opentoda import PoissonStructure
-    from opentoda.brackets import zrho_chart
-
-    bad = PoissonStructure(chart=zrho_chart(3), name="broken", tensor_fn=broken)
     S = random_spectral(rng, 3, rho_floor=1e-2)
-    res = jacobi_residual(bad, zrho_pack(S))
+    res = jacobi_residual(corrupt(zrho_tensor(Z, 3), 0.05), zrho_pack(S))
     print(f"AC4b negative control residual = {res:.3e} (must exceed 1e-3)")
     assert res > 1e-3
 
@@ -180,20 +172,12 @@ def test_ac05_dirac_reduction():
     for trial in range(30):
         n = 2 + trial % 4
         m = trial % 3
-        f = WeightFn.power(m)
         S = random_spectral(rng, n, positive=m >= 1, rho_floor=1e-2)
-        x = zrho_pack(S)
-        base = zrho_tensor(f, n)
-        phi1, phi2 = action_sum(f, n), neg_log_mass(n)
-        D = dirac_restrict(base, phi1, phi2)
-        worst = max(
-            worst,
-            float(np.max(np.abs(D.tensor(x) - zrho_restricted_tensor(f, n).tensor(x)))),
-        )
-        pair = float(phi1.gradient(x) @ base.tensor(x) @ phi2.gradient(x))
-        worst_pair = max(worst_pair, abs(pair - 1.0))
-    report("AC5a dirac_restrict matches the closed-form tensor", worst, 1e-10)
-    report("AC5b constraint pairing {Phi1, Phi2} = 1", worst_pair, 1e-9)
+        gap, pair = dirac_residuals(WeightFn.power(m), S)
+        worst = max(worst, gap)
+        worst_pair = max(worst_pair, pair)
+    report("AC5a dirac_restrict matches the closed-form tensor", worst, TOL["dirac_matches_closed_form"])
+    report("AC5b constraint pairing {Phi1, Phi2} = 1", worst_pair, TOL["constraint_bracket_unit"])
 
 
 def test_ac06_hierarchy_degeneracy():
@@ -210,7 +194,7 @@ def test_ac06_hierarchy_degeneracy():
             scale = max(1.0, max(float(np.max(np.abs(g))) for g in fields))
             for g in fields[1:]:
                 worst = max(worst, float(np.max(np.abs(g - fields[0]))) / scale)
-    report("AC6 hamiltonian_field p-degeneracy (k <= 3)", worst, 1e-10)
+    report("AC6 hamiltonian_field p-degeneracy (k <= 3)", worst, TOL["hamiltonian_field_p_agreement"])
 
 
 def test_ac07_flow_equivalence():
@@ -221,12 +205,12 @@ def test_ac07_flow_equivalence():
         k = 1 + trial % 3
         p = trial % (min(k, 2) + 1)
         S = random_spectral(rng, n, positive=p >= 1, rho_floor=1e-2)
-        x = zrho_pack(S)
-        grad = np.concatenate([S.z ** (k - p), np.zeros(n)])
-        got = zrho_restricted_tensor(WeightFn.power(p), n).tensor(x) @ grad
-        want = np.concatenate(spectral_field(S, k))
-        worst_alg = max(worst_alg, float(np.max(np.abs(got - want))))
-    report("AC7a restricted tensor gradient flow = hierarchy ODE", worst_alg, 1e-13)
+        worst_alg = max(worst_alg, restricted_flow_gap(S, k, p))
+    report(
+        "AC7a restricted tensor gradient flow = hierarchy ODE",
+        worst_alg,
+        TOL["restricted_tensor_flow"],
+    )
 
     worst_flow = 0.0
     worst_drift = 0.0
@@ -255,35 +239,17 @@ def test_ac08_casimirs():
     for trial in range(25):
         n = 2 + trial % 4
         J = random_jacobi(rng, n)
-        x = cv_pack(J)
-
-        def tr_fn(xx):
-            return float(np.sum(xx[:n]))
-
-        def det_fn(xx):
-            return float(np.linalg.det(JacobiMatrix(v=xx[:n], c=xx[n:]).to_dense()))
-
-        def trinv_fn(xx):
-            return float(
-                np.trace(np.linalg.inv(JacobiMatrix(v=xx[:n], c=xx[n:]).to_dense()))
-            )
-
-        worst = max(worst, casimir_residual(pi0_cv(n), Observable(tr_fn), x))
-        # det L is affine in each v and quadratic in each c: a wide step is
-        # truncation-free and beats the cancellation floor
-        det_obs = Observable(det_fn, grad=lambda xx: fd_gradient(det_fn, xx, step=1e-2))
-        worst = max(worst, casimir_residual(pi1_cv(n), det_obs, x))
-        shifted = cv_pack(JacobiMatrix(v=J.v + 10.0, c=J.c))
-        worst = max(worst, casimir_residual(pi2_cv(n), Observable(trinv_fn), shifted))
-
+        worst = max(worst, *cv_casimir_residuals(J))
         m = trial % 3
-        f = WeightFn.power(m)
         S = random_spectral(rng, n, positive=m >= 1, rho_floor=1e-2)
-        xs = zrho_pack(S)
-        R = zrho_restricted_tensor(f, n)
-        worst = max(worst, casimir_residual(R, action_sum(f, n), xs))
-        worst = max(worst, casimir_residual(R, neg_log_mass(n), xs))
-    report("AC8 Casimir residuals (pi0, pi1, pi2, restricted pair)", worst, 1e-9)
+        worst = max(worst, *constraint_casimir_residuals(WeightFn.power(m), S))
+    tol = tol_of(
+        "pi0_trace_casimir",
+        "pi1_det_casimir",
+        "pi2_trace_inverse_casimir",
+        "restricted_constraint_casimirs",
+    )
+    report("AC8 Casimir residuals (pi0, pi1, pi2, restricted pair)", worst, tol)
 
 
 def test_ac09_darboux_charts():
@@ -304,20 +270,13 @@ def test_ac09_darboux_charts():
         worst = max(worst, r["max_deviation"])
         r = verify_canonical(gamma_pi_map(n), zrho_tensor(ONE, n), x)
         worst = max(worst, r["max_deviation"])
-    report("AC9 Darboux charts (I-y, action-angle, gamma-pi)", worst, 1e-6)
+    tol = tol_of("iy_canonical", "action_angle_canonical", "gamma_pi_canonical")
+    report("AC9 Darboux charts (I-y, action-angle, gamma-pi)", worst, tol)
 
 
 def test_ac10_worked_example():
-    J = flaschka(PhasePoint(q=np.zeros(2), p=np.zeros(2)))
-    S = direct_transform(J)
-    g, q0 = gammas(S)
-    errs = [
-        float(np.max(np.abs(S.z - [-1.0, 1.0]))),
-        float(np.max(np.abs(S.rho - [0.5, 0.5]))),
-        abs(g[0]),
-        abs(q0 - 1.0),
-        abs(analytic_bracket(S, 2.0, 3.0, ONE) - (-49.0 / 576.0)),
-        abs(restricted_bracket(S, 2.0, 3.0, ONE) - (-7.0 / 576.0)),
-        float(np.max(np.abs(exact_flow(S, 1, np.log(2.0)).rho - [0.2, 0.8]))),
-    ]
-    report("AC10 pinned two-site worked example", max(errs), 1e-12)
+    worst = max(
+        float(np.max(np.abs(np.asarray(got, dtype=float) - want)))
+        for _, got, want in worked_example()
+    )
+    report("AC10 pinned two-site worked example", worst, WORKED_TOL)

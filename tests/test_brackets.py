@@ -20,9 +20,7 @@ from opentoda import (
     cv_pack,
     direct_transform,
     dirac_restrict,
-    fd_gradient,
     jacobi_residual,
-    neg_log_mass,
     pi0_cv,
     pi0_qp,
     pi1_cv,
@@ -34,6 +32,7 @@ from opentoda import (
     zrho_restricted_tensor,
     zrho_tensor,
 )
+from opentoda.properties import constraint_casimir_residuals, corrupt, cv_casimir, dirac_residuals
 
 from conftest import contour_bracket, random_jacobi, random_spectral
 from oracles import pi_cv_loop
@@ -271,22 +270,13 @@ def test_chain_rule_fd_gradients(rng):
 
 def test_dirac_matches_restricted_tensor(rng):
     for power in (0, 1, 2):
-        f = WeightFn.power(power)
         for _ in range(5):
             S = random_spectral(rng, 4, positive=power > 0)
-            x = zrho_pack(S)
-            base = zrho_tensor(f, 4)
-            D = dirac_restrict(base, action_sum(f, 4), neg_log_mass(4))
-            gap = np.max(np.abs(D.tensor(x) - zrho_restricted_tensor(f, 4).tensor(x)))
-            assert gap <= 1e-10
+            assert dirac_residuals(WeightFn.power(power), S)[0] <= 1e-10
 
 
 def test_constraint_bracket_is_unit(rng):
-    S = random_spectral(rng, 5)
-    x = zrho_pack(S)
-    phi1, phi2 = action_sum(ONE, 5), neg_log_mass(5)
-    c = phi1.gradient(x) @ zrho_tensor(ONE, 5).tensor(x) @ phi2.gradient(x)
-    assert c == pytest.approx(1.0, abs=1e-14)
+    assert dirac_residuals(ONE, random_spectral(rng, 5))[1] <= 1e-14
 
 
 def test_constraint_bracket_not_unit_raises(rng):
@@ -320,22 +310,8 @@ def test_jacobi_identity_cv_tensors(rng):
 
 
 def test_jacobi_negative_control(rng):
-    S = random_spectral(rng, 3)
-    x = zrho_pack(S)
-    base = zrho_tensor(ONE, 3)
-
-    def broken(xx):
-        T = base.tensor(xx)
-        T = T.copy()
-        T[0, 1] += 1.0
-        T[1, 0] -= 1.0
-        return T
-
-    from opentoda import PoissonStructure
-    from opentoda.brackets import zrho_chart
-
-    P = PoissonStructure(chart=zrho_chart(3), name="broken", tensor_fn=broken)
-    assert jacobi_residual(P, x) > 1e-3
+    x = zrho_pack(random_spectral(rng, 3))
+    assert jacobi_residual(corrupt(zrho_tensor(ONE, 3)), x) > 1e-3
 
 
 def test_casimirs(rng):
@@ -347,21 +323,11 @@ def test_casimirs(rng):
         lambda x: np.concatenate([np.ones(3), np.zeros(2)]),
     )
     assert casimir_residual(pi0_cv(3), trace_obs, cv_pack(J)) <= 1e-15
-
-    def det_fn(x):
-        return float(np.linalg.det(JacobiMatrix(v=x[:3], c=x[3:]).to_dense()))
-
-    # det is affine in each v and quadratic in each c; the wide step is
-    # truncation-free and suppresses cancellation noise
-    det_obs = Observable(det_fn, grad=lambda x: fd_gradient(det_fn, x, step=1e-2))
-    assert casimir_residual(pi1_cv(3), det_obs, cv_pack(J)) <= 1e-9
+    assert casimir_residual(pi1_cv(3), cv_casimir(1, 3), cv_pack(J)) <= 1e-9
 
     S = random_spectral(rng, 4, positive=True)
-    x = zrho_pack(S)
     for f in (ONE, Z, Z2):
-        P = zrho_restricted_tensor(f, 4)
-        assert casimir_residual(P, action_sum(f, 4), x) <= 1e-12
-        assert casimir_residual(P, neg_log_mass(4), x) <= 1e-12
+        assert max(constraint_casimir_residuals(f, S)) <= 1e-12
 
 
 @settings(deadline=None, max_examples=20)

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from opentoda import (
 )
 from opentoda import cli
 from opentoda.cli import main, make_envelope, parse_envelope
+from opentoda.properties import TOL, random_spectral
 
 import oracles
 
@@ -348,16 +350,44 @@ def test_evolve_step_budget(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "n, positive, min_gap, rho_floor",
-    [(1, False, 0.05, 1e-2), (4, False, 0.05, 1e-2), (6, False, 0.4, 0.05), (9, True, 0.4, 0.05)],
+    [(1, False, 0.05, 1e-2), (4, False, 0.05, 1e-2), (6, False, 0.4, 0.05), (9, True, 0.4, 0.05),
+     (4, False, 0.05, 0.0)],
 )
 def test_rand_spectral_draws_like_one_at_a_time(n, positive, min_gap, rho_floor):
     for seed in range(3):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-        S = cli._rand_spectral(a, n, positive=positive, min_gap=min_gap, rho_floor=rho_floor)
+        S = random_spectral(a, n, positive=positive, min_gap=min_gap, rho_floor=rho_floor)
         z, rho = oracles.rand_spectral(b, n, positive, min_gap, rho_floor)
         np.testing.assert_array_equal(S.z, z)
         np.testing.assert_array_equal(S.rho, rho)
         assert a.random() == b.random()
+
+
+def test_verify_reports_the_shared_tolerances(capsys):
+    rc, out, _ = run(["verify", "--suite", "all", "--n", "3", "--trials", "2"], capsys)
+    assert rc == 0
+    reported = {r["property"]: r["tol"] for r in json.loads(out)["properties"]}
+    assert reported == TOL
+
+
+def test_benchmark_tracer_finds_its_targets():
+    # the benchmark wraps these functions by name and times the suites
+    # through cli._SUITES; a moved or renamed target breaks only traced runs
+    spans = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"))
+    assert list(cli._SUITES) == ["roundtrip", "jacobi", "hierarchy", "darboux", "casimirs"]
+    originals = dict(cli._SUITES)
+    tracer = spans["Tracer"]()
+    restore = spans["instrument"](tracer)
+    try:
+        rng = np.random.default_rng(0)
+        for name in originals:
+            cli._SUITES[name](rng, 2, 1)
+            assert len(tracer.durations(f"cli.suite_{name}")) == 1
+    finally:
+        restore()
+    assert cli._SUITES == originals
+    for name in originals:
+        assert getattr(cli, f"suite_{name}") is originals[name]
 
 
 def test_verify_large_n_exits_2():
