@@ -165,13 +165,13 @@ class PoissonStructure:
 # ---------------------------------------------------------------------------
 # finite differences
 
-def _central_differences(fn, x, step=FD_STEP):
-    """(fn(x + h e_l) - fn(x - h e_l)) / 2h with h = step (1 + |x_l|), for
+def _central_differences(fn, x):
+    """(fn(x + h e_l) - fn(x - h e_l)) / 2h with h = FD_STEP (1 + |x_l|), for
     each coordinate l of x, stacked along a new first axis."""
     x = np.asarray(x, dtype=float)
     rows = []
     for l in range(x.size):
-        h = step * (1.0 + abs(x[l]))
+        h = FD_STEP * (1.0 + abs(x[l]))
         xp = x.copy()
         xm = x.copy()
         xp[l] += h
@@ -180,8 +180,8 @@ def _central_differences(fn, x, step=FD_STEP):
     return np.array(rows)
 
 
-def fd_gradient(fn, x, step=FD_STEP):
-    return _central_differences(fn, x, step)
+def fd_gradient(fn, x):
+    return _central_differences(fn, x)
 
 
 def fd_jacobian(fn, x):

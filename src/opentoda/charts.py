@@ -212,7 +212,7 @@ def gamma_pi_map(n):
     return ChartMap(name="GAMMA_PI", map_fn=map_fn, expected=_antisym(M))
 
 
-def verify_canonical(chart, structure, state, tol=1e-6):
+def verify_canonical(chart, structure, state):
     """Push the structure's tensor through the chart map at a state and
     compare with the chart's canonical pattern. Returns a report dict; the
     tensors ride along for inspection."""
@@ -222,7 +222,6 @@ def verify_canonical(chart, structure, state, tol=1e-6):
     return {
         "chart": chart.name,
         "max_deviation": dev,
-        "passes": bool(dev <= tol),
         "tensor": T,
         "expected": E,
     }

@@ -23,19 +23,24 @@ from .brackets import (
     zrho_restricted_tensor,
     zrho_tensor,
 )
-from .charts import action_angle_map, gamma_pi_map, iy_map, verify_canonical
 from .errors import ConvergenceFailure, NonFiniteState, OverflowGuard, TodaError
 from .flows import FlowSpec, evolve, exact_flow, hamiltonian_field, lax_rhs
 from .properties import (
     TOL,
     WORKED_TOL,
+    action_angle_deviation,
     constraint_casimir_residuals,
     corrupt,
     cv_casimir_residuals,
     dirac_residuals,
+    gamma_pi_deviation,
+    iy_deviation,
+    p_agreement_gaps,
     random_jacobi,
     random_spectral,
     restricted_flow_gap,
+    roundtrip_gap,
+    weyl_routes_gap,
     worked_example,
     zq_gap,
 )
@@ -44,10 +49,8 @@ from .spectral import (
     direct_transform,
     inverse_transform,
     inverse_transform_stieltjes,
-    weyl_eval,
-    weyl_rat,
 )
-from .tridiag import JacobiMatrix, PhasePoint, flaschka, pq_polynomials, unflaschka
+from .tridiag import JacobiMatrix, PhasePoint, flaschka, unflaschka
 
 _BLOWUP = (OverflowGuard, NonFiniteState, ConvergenceFailure)
 
@@ -58,19 +61,17 @@ _JSON_SLICE = 256
 # ---------------------------------------------------------------------------
 # envelopes
 
+_KINDS = {PhasePoint: "phase", JacobiMatrix: "jacobi", SpectralData: "spectral"}
+
+
 def make_envelope(obj):
-    if isinstance(obj, PhasePoint):
-        kind, payload = "phase", {"q": obj.q.tolist(), "p": obj.p.tolist()}
-    elif isinstance(obj, JacobiMatrix):
-        kind, payload = "jacobi", {"v": obj.v.tolist(), "c": obj.c.tolist()}
-    elif isinstance(obj, SpectralData):
-        kind, payload = "spectral", {"z": obj.z.tolist(), "rho": obj.rho.tolist()}
-    else:
+    kind = _KINDS.get(type(obj))
+    if kind is None:
         raise TypeError(f"cannot wrap {type(obj).__name__}")
     return {
         "kind": kind,
         "n": obj.n,
-        "payload": payload,
+        "payload": obj.as_dict(),
         "meta": {"version": __version__, "conventions": conventions_hash()},
     }
 
@@ -206,11 +207,7 @@ def cmd_evolve(args):
         obj = to_spectral(obj)
     else:
         obj = to_jacobi(obj)
-    try:
-        traj = evolve(obj, spec, record_every=args.record_every)
-    except _BLOWUP as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
-        return 3
+    traj = evolve(obj, spec, record_every=args.record_every)
     if args.file == "-":
         stream = sys.stdout
         close = False
@@ -282,38 +279,21 @@ def _prop(name, residuals, cases):
     }
 
 
-def _entry_gap(A, J):
-    """Largest entry-wise gap between two Jacobi matrices."""
-    return max(
-        float(np.max(np.abs(A.v - J.v))),
-        float(np.max(np.abs(A.c - J.c))) if J.n > 1 else 0.0,
-    )
-
-
 def suite_roundtrip(rng, n, trials):
-    lanczos, stieltjes, weyl3, mass = [], [], [], []
+    lanczos, stieltjes, weyl, mass = [], [], [], []
     for trial in range(trials):
         size = 1 + trial % n
         J = random_jacobi(rng, size)
-        scale = 1.0 + max(
-            float(np.max(np.abs(J.v))), float(np.max(J.c)) if size > 1 else 0.0
-        )
         S = direct_transform(J)
-        lanczos.append(_entry_gap(inverse_transform(S), J) / scale)
-        stieltjes.append(_entry_gap(inverse_transform_stieltjes(S), J) / scale)
+        lanczos.append(roundtrip_gap(J, inverse_transform(S)))
+        stieltjes.append(roundtrip_gap(J, inverse_transform_stieltjes(S)))
         mass.append(abs(float(np.sum(S.rho)) - 1.0))
         if size > 1:
-            x = 3.0 + float(np.max(np.abs(S.z)))
-            a = weyl_eval(S, x)
-            b = weyl_rat(S)(x)
-            P, Q = pq_polynomials(J, np.array([x]))
-            c_ = -Q[-1][0] / P[-1][0]
-            ref = max(abs(a), 1e-30)
-            weyl3.append(max(abs(a - b), abs(a - c_)) / ref)
+            weyl.append(weyl_routes_gap(S, J, 3.0 + float(np.max(np.abs(S.z)))))
     return [
         _prop("roundtrip_lanczos", lanczos, trials),
         _prop("roundtrip_stieltjes", stieltjes, trials),
-        _prop("weyl_three_routes", weyl3, len(weyl3)),
+        _prop("weyl_three_routes", weyl, len(weyl)),
         _prop("residue_mass", mass, trials),
     ]
 
@@ -357,17 +337,10 @@ def suite_hierarchy(rng, n, trials):
         size = 2 + trial % max(1, n - 1)
         J = random_jacobi(rng, size)
         k = 1 + trial % 3
-        fields = []
-        for p in range(min(k, 2) + 1):
-            vdot, cdot = hamiltonian_field(J, k, p)
-            fields.append(np.concatenate([vdot, cdot]))
-        ref = 1.0 + float(np.max(np.abs(fields[0])))
-        for other in fields[1:]:
-            pmatch.append(float(np.max(np.abs(other - fields[0]))) / ref)
-        vdot, cdot = lax_rhs(J, k)
-        laxmatch.append(
-            float(np.max(np.abs(np.concatenate([vdot, cdot]) - fields[0]))) / ref
-        )
+        pmatch.extend(p_agreement_gaps(J, k))
+        field = np.concatenate(hamiltonian_field(J, k, 0))
+        gap = float(np.max(np.abs(np.concatenate(lax_rhs(J, k)) - field)))
+        laxmatch.append(gap / (1.0 + float(np.max(np.abs(field)))))
         S = random_spectral(rng, size)
         for p in range(min(k, 2) + 1):
             specmatch.append(restricted_flow_gap(S, k, p))
@@ -388,24 +361,14 @@ def suite_darboux(rng, n, trials):
     # FD truncation in the chart Jacobians grows like h^2/gap^3; the wider
     # gap floor keeps that term under the 1e-6 canonicality tolerance
     iy, aa, gp, zq = [], [], [], []
-    f1 = WeightFn.power(0)
-    fz = WeightFn.power(1)
     for trial in range(trials):
         size = max(2, 2 + trial % max(1, n - 1))
         S = random_spectral(rng, size, min_gap=0.4, rho_floor=0.05)
-        x = zrho_pack(S)
-        rep = verify_canonical(iy_map(f1, size), zrho_tensor(f1, size), x)
-        iy.append(rep["max_deviation"])
+        iy.append(iy_deviation(WeightFn.power(0), S))
         Sp = random_spectral(rng, size, positive=True, min_gap=0.4, rho_floor=0.05)
-        xp = zrho_pack(Sp)
-        rep = verify_canonical(iy_map(fz, size), zrho_tensor(fz, size), xp)
-        iy.append(rep["max_deviation"])
-        rep = verify_canonical(
-            action_angle_map(f1, size), zrho_restricted_tensor(f1, size), x
-        )
-        aa.append(rep["max_deviation"])
-        rep = verify_canonical(gamma_pi_map(size), zrho_tensor(f1, size), x)
-        gp.append(rep["max_deviation"])
+        iy.append(iy_deviation(WeightFn.power(1), Sp))
+        aa.append(action_angle_deviation(S))
+        gp.append(gamma_pi_deviation(S))
         zq.append(zq_gap(S))
     return [
         _prop("iy_canonical", iy, len(iy)),

@@ -5,10 +5,13 @@ tolerances, random states and residuals from here:
 
 - TOL, the tolerance of each property that `toda verify` reports;
 - the seeded generators of random Jacobi matrices and spectral data;
-- the residuals shared by the verify suites and the tests: the Casimirs of
-  pi_0, pi_1, pi_2 in the c-v chart, the constraint pair on the restricted
-  tensor, the Dirac reduction and its constraint pairing, the restricted
-  tensor as the generator of the hierarchy flows, and the z-q relations;
+- the residuals shared by the verify suites and the tests: the transform
+  round trip, the four routes to the Weyl function, the p-degeneracy of the
+  Hamiltonian fields, the Casimirs of pi_0, pi_1, pi_2 in the c-v chart, the
+  constraint pair on the restricted tensor, the Dirac reduction and its
+  constraint pairing, the restricted tensor as the generator of the
+  hierarchy flows, the Darboux charts paired with the tensor each makes
+  canonical, and the z-q relations;
 - the negative control of the Jacobi identity check;
 - the pinned two-site worked example.
 """
@@ -25,7 +28,6 @@ from .brackets import (
     casimir_residual,
     cv_pack,
     dirac_restrict,
-    fd_gradient,
     neg_log_mass,
     pi0_cv,
     pi1_cv,
@@ -35,11 +37,25 @@ from .brackets import (
     zrho_restricted_tensor,
     zrho_tensor,
 )
-from .charts import numerator_values, zq_map
+from .charts import (
+    action_angle_map,
+    gamma_pi_map,
+    iy_map,
+    numerator_values,
+    verify_canonical,
+    zq_map,
+)
 from .errors import DomainViolation
-from .flows import exact_flow, spectral_field
-from .spectral import SpectralData, direct_transform, gammas, inverse_transform, weyl_eval
-from .tridiag import JacobiMatrix, PhasePoint, flaschka
+from .flows import exact_flow, hamiltonian_field, spectral_field
+from .spectral import (
+    SpectralData,
+    direct_transform,
+    gammas,
+    inverse_transform,
+    weyl_eval,
+    weyl_rat,
+)
+from .tridiag import JacobiMatrix, PhasePoint, flaschka, pq_polynomials, truncated_charpoly
 
 # Largest residual each property of `toda verify` accepts, by property name.
 TOL = {
@@ -136,24 +152,100 @@ def random_spectral(rng, n, positive=False, min_gap=0.05, rho_floor=1e-2):
 # ---------------------------------------------------------------------------
 # residuals
 
-def cv_casimir(p, n):
-    """The Casimir of pi_p in the c-v chart as an Observable: tr L for p = 0,
-    det L for p = 1, tr L^{-1} for p = 2."""
+def roundtrip_gap(J, back):
+    """||back - J||_inf / (1 + max(|v|, c)) for a Jacobi matrix J and its
+    reconstruction back.
 
-    def dense(x):
-        return JacobiMatrix(v=x[:n], c=x[n:]).to_dense()
+    The numerator is the dense inf-norm of the difference, which is at least
+    its largest entry; the denominator is at most 1 + ||J||_inf, since a row
+    sum of |J| holds each |v_k| and c_k. The gap is therefore at least the
+    entry-wise gap over the same scale and at least the inf-norm gap over
+    1 + ||J||_inf.
+    """
+    scale = 1.0 + max(float(np.max(np.abs(J.v))), float(np.max(J.c)) if J.n > 1 else 0.0)
+    return float(np.linalg.norm(back.to_dense() - J.to_dense(), np.inf)) / scale
+
+
+def weyl_routes_gap(S, J, x):
+    """Largest pairwise gap between four routes to the Weyl function at the
+    points x, over |chi(x)|: the pole sum weyl_eval, the rational form
+    weyl_rat, -Q_N/P_N of the three-term recurrence of J, and the gamma
+    product q0 prod(gamma - x)/prod(z - x); S is the spectral data of J.
+
+    Any subset of the pairs measured against the same scale, or against a
+    scale of at least |chi(x)| such as max(1, |routes|), gives a gap no
+    larger than this one.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    chi = weyl_eval(S, x)
+    P, Q = pq_polynomials(J, x)
+    g, q0 = gammas(S)
+    routes = (
+        chi,
+        weyl_rat(S)(x),
+        -Q[-1] / P[-1],
+        q0 * np.prod(g[:, None] - x, axis=0) / np.prod(S.z[:, None] - x, axis=0),
+    )
+    scale = np.maximum(np.abs(chi), 1e-30)
+    return max(
+        float(np.max(np.abs(a - b) / scale))
+        for i, a in enumerate(routes)
+        for b in routes[i + 1 :]
+    )
+
+
+def p_agreement_gaps(J, k):
+    """||field_p - field_0||_inf / max(1, max_p ||field_p||_inf) for each
+    p = 1 .. min(k, 2): the k-th Hamiltonian field generated through pi_p
+    against the one through pi_0.
+
+    The shared scale is at most 1 + ||field_0||_inf, so each gap is at least
+    the same gap over that scale.
+    """
+    fields = [np.concatenate(hamiltonian_field(J, k, p)) for p in range(min(k, 2) + 1)]
+    scale = max(1.0, max(float(np.max(np.abs(g))) for g in fields))
+    return [float(np.max(np.abs(g - fields[0]))) / scale for g in fields[1:]]
+
+
+def cv_casimir(p, n):
+    """The Casimir of pi_p in the c-v chart as an Observable with its exact
+    gradient: tr L for p = 0, det L for p = 1, tr L^{-1} for p = 2.
+
+    d det L / dv_i is the product of the determinants of the leading block
+    before i and the trailing block after it; d det L / dc_i is -2 c_i times
+    the blocks before i and after i + 1 (an empty block has determinant 1).
+    d tr L^{-1} = -tr(L^{-2} dL).
+    """
+
+    def jacobi(x):
+        return JacobiMatrix(v=x[:n], c=x[n:])
 
     if p == 0:
-        return Observable(lambda x: float(np.sum(x[:n])))
+        ones = np.concatenate([np.ones(n), np.zeros(n - 1)])
+        return Observable(lambda x: float(np.sum(x[:n])), grad=lambda x: ones)
     if p == 1:
 
-        def det_fn(x):
-            return float(np.linalg.det(dense(x)))
+        def det_grad(x):
+            J = jacobi(x)
 
-        # det L is affine in each v and quadratic in each c, so a wide central
-        # difference is truncation-free and drowns the cancellation noise
-        return Observable(det_fn, grad=lambda x: fd_gradient(det_fn, x, step=1e-2))
-    return Observable(lambda x: float(np.trace(np.linalg.inv(dense(x)))))
+            def minor(k, last):
+                return truncated_charpoly(J, k, last, 0.0)
+
+            dv = [minor(0, i - 1) * minor(i + 1, n - 1) for i in range(n)]
+            dc = [-2.0 * J.c[i] * minor(0, i - 1) * minor(i + 2, n - 1) for i in range(n - 1)]
+            return np.array(dv + dc)
+
+        return Observable(lambda x: float(np.linalg.det(jacobi(x).to_dense())), grad=det_grad)
+
+    def inv_grad(x):
+        Linv = np.linalg.inv(jacobi(x).to_dense())
+        L2 = Linv @ Linv
+        i = np.arange(n - 1)
+        return np.concatenate([-np.diagonal(L2), -2.0 * L2[i, i + 1]])
+
+    return Observable(
+        lambda x: float(np.trace(np.linalg.inv(jacobi(x).to_dense()))), grad=inv_grad
+    )
 
 
 def cv_casimir_residuals(J):
@@ -210,6 +302,31 @@ def restricted_flow_gap(S, k, p):
     got = zrho_restricted_tensor(WeightFn.power(p), n).tensor(zrho_pack(S)) @ grad
     want = np.concatenate(spectral_field(S, k))
     return float(np.max(np.abs(got - want)))
+
+
+def iy_deviation(f, S):
+    """Largest deviation of the z-rho tensor of weight f, pushed through the
+    I-y map at S, from the canonical pattern."""
+    n = S.n
+    return verify_canonical(iy_map(f, n), zrho_tensor(f, n), zrho_pack(S))["max_deviation"]
+
+
+def action_angle_deviation(S):
+    """Largest deviation of the restricted tensor of f = 1, pushed through
+    the action-angle map at S, from the canonical pattern."""
+    n, f = S.n, WeightFn.power(0)
+    return verify_canonical(
+        action_angle_map(f, n), zrho_restricted_tensor(f, n), zrho_pack(S)
+    )["max_deviation"]
+
+
+def gamma_pi_deviation(S):
+    """Largest deviation of the z-rho tensor of f = 1, pushed through the
+    gamma-pi map at S, from the canonical pattern."""
+    n = S.n
+    return verify_canonical(
+        gamma_pi_map(n), zrho_tensor(WeightFn.power(0), n), zrho_pack(S)
+    )["max_deviation"]
 
 
 def zq_gap(S):

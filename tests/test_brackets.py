@@ -20,6 +20,7 @@ from opentoda import (
     cv_pack,
     direct_transform,
     dirac_restrict,
+    fd_gradient,
     jacobi_residual,
     pi0_cv,
     pi0_qp,
@@ -318,16 +319,35 @@ def test_casimirs(rng):
     # tr L kills the canonical image; the constraint pair kills the
     # restricted tensors
     J = JacobiMatrix(v=rng.uniform(-1.0, 1.0, 3), c=rng.uniform(0.5, 1.5, 2))
-    trace_obs = Observable(
-        lambda x: float(np.sum(x[:3])),
-        lambda x: np.concatenate([np.ones(3), np.zeros(2)]),
-    )
-    assert casimir_residual(pi0_cv(3), trace_obs, cv_pack(J)) <= 1e-15
+    assert casimir_residual(pi0_cv(3), cv_casimir(0, 3), cv_pack(J)) <= 1e-15
     assert casimir_residual(pi1_cv(3), cv_casimir(1, 3), cv_pack(J)) <= 1e-9
 
     S = random_spectral(rng, 4, positive=True)
     for f in (ONE, Z, Z2):
         assert max(constraint_casimir_residuals(f, S)) <= 1e-12
+
+
+def test_cv_casimir_gradients_match_finite_differences():
+    # central differences with step h = FD_STEP (1 + |x|) ~ 6e-6 (1 + |x|)
+    # carry O(h^2) truncation and O(eps/h) rounding; at these entries both
+    # stay far below 1e-7 of the gradient's scale
+    rng = np.random.default_rng(11)
+    singular = JacobiMatrix(v=np.zeros(3), c=np.ones(2))  # det L = 0
+    assert abs(np.linalg.det(singular.to_dense())) < 1e-15
+    states = [(singular, (1,))]
+    for n in (2, 3, 5):
+        for _ in range(3):
+            J = JacobiMatrix(v=rng.uniform(-1.0, 1.0, n), c=rng.uniform(0.5, 1.5, n - 1))
+            states.append((J, (0, 1)))
+            states.append((JacobiMatrix(v=J.v + 4.0, c=J.c), (2,)))
+    for J, powers in states:
+        x = cv_pack(J)
+        for p in powers:
+            C = cv_casimir(p, J.n)
+            exact = C.gradient(x)
+            approx = fd_gradient(C.value, x)
+            scale = 1.0 + float(np.max(np.abs(exact)))
+            assert float(np.max(np.abs(exact - approx))) <= 1e-7 * scale, (J, p)
 
 
 @settings(deadline=None, max_examples=20)

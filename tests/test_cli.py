@@ -363,11 +363,34 @@ def test_rand_spectral_draws_like_one_at_a_time(n, positive, min_gap, rho_floor)
         assert a.random() == b.random()
 
 
-def test_verify_reports_the_shared_tolerances(capsys):
+def test_verify_reports_the_shared_tolerances(capsys, monkeypatch):
     rc, out, _ = run(["verify", "--suite", "all", "--n", "3", "--trials", "2"], capsys)
     assert rc == 0
     reported = {r["property"]: r["tol"] for r in json.loads(out)["properties"]}
     assert reported == TOL
+    # the gate's checks of the shared residuals take their tolerance from the
+    # same table: swap in a table of distinct values and see which one is used
+    import test_acceptance as gate
+
+    stand_in = {name: float(i + 1) for i, name in enumerate(TOL)}
+    used = {}
+    monkeypatch.setattr(gate, "TOL", stand_in)
+    monkeypatch.setattr(gate, "report", lambda tag, worst, tol: used.update({tag.split()[0]: tol}))
+    gate.test_ac01_round_trip()
+    gate.test_ac02_spectral_representation()
+    gate.test_ac06_hierarchy_degeneracy()
+    assert used == {
+        "AC1": stand_in["roundtrip_lanczos"],
+        "AC2a": stand_in["residue_mass"],
+        "AC2b": stand_in["weyl_three_routes"],
+        "AC6": stand_in["hamiltonian_field_p_agreement"],
+    }
+
+
+def test_verify_all_passes_at_n8(capsys):
+    rc, out, err = run(["verify", "--suite", "all", "--n", "8"], capsys)
+    assert rc == 0, err
+    assert json.loads(out)["pass"] is True
 
 
 def test_benchmark_tracer_finds_its_targets():
