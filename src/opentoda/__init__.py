@@ -22,6 +22,7 @@ from .errors import (
     NotInRatNPrime,
     OverflowGuard,
     PoleEvaluation,
+    ResidueUnderflow,
     SignViolation,
     SingularMatrix,
     StructureViolation,

@@ -119,13 +119,17 @@ def dump_json(doc, stream):
 
     json.dump runs its pure-Python encoder whenever it indents. Here the
     containers are walked in Python, and every leaf and every flat list (one
-    holding no dict or list) goes to json's C encoder, with an item
+    holding no dict, list or array) goes to json's C encoder, with an item
     separator that carries the line break and indentation. Flat lists go in
     slices of _JSON_SLICE items, and each piece is written to the stream as
     it is made, so no long list or document is ever held as one string.
+
+    A numpy array is written as its nested list (`a.tolist()`): a 1-D array
+    as a flat list, converted one slice at a time, and a higher one row by
+    row, so no large array is ever held as Python objects.
     """
     encoders = {}
-    containers = itertools.repeat((dict, list, tuple))
+    containers = itertools.repeat((dict, list, tuple, np.ndarray))
 
     def leaf(value, pad):
         # pad is the indentation of a flat list's items
@@ -136,6 +140,7 @@ def dump_json(doc, stream):
 
     def write(value, pad):
         inner = pad + " "
+        is_array = isinstance(value, np.ndarray)
         if isinstance(value, dict) and value:
             sep = "{\n" + inner
             for key, item in sorted(value.items()):
@@ -145,20 +150,23 @@ def dump_json(doc, stream):
                 write(item, inner)
                 sep = ",\n" + inner
             stream.write("\n" + pad + "}")
-        elif isinstance(value, (list, tuple)) and value:
+        elif value.ndim and len(value) if is_array else isinstance(value, (list, tuple)) and value:
             sep = "[\n" + inner
-            if any(map(isinstance, value, containers)):
+            if value.ndim > 1 if is_array else any(map(isinstance, value, containers)):
                 for item in value:
                     stream.write(sep)
                     write(item, inner)
                     sep = ",\n" + inner
             else:
                 for i in range(0, len(value), _JSON_SLICE):
-                    stream.write(sep + leaf(value[i : i + _JSON_SLICE], inner)[1:-1])
+                    piece = value[i : i + _JSON_SLICE]
+                    if is_array:
+                        piece = piece.tolist()
+                    stream.write(sep + leaf(piece, inner)[1:-1])
                     sep = ",\n" + inner
             stream.write("\n" + pad + "]")
         else:
-            stream.write(leaf(value, inner))
+            stream.write(leaf(value.tolist() if is_array else value, inner))
 
     write(doc, "")
     stream.write("\n")

@@ -62,6 +62,10 @@ class OverflowGuard(TodaError):
     """Flow exponents are non-finite; the closed-form propagator cannot proceed."""
 
 
+class ResidueUnderflow(OverflowGuard):
+    """A residue rho_k of the direct transform lies below the smallest normal double."""
+
+
 class DomainViolation(TodaError):
     """Input outside the mathematical domain of the operation (e.g. z <= 0 under a log)."""
 

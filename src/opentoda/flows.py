@@ -319,14 +319,16 @@ class Trajectory:
             stream.write(fmt % (times[i], *row.tolist(), sr[i], sd[i]))
 
     def to_payload(self):
+        """The trajectory as a document; its arrays stay numpy arrays, which
+        cli.dump_json writes as lists."""
         return {
             "kind": self.kind,
             "n": self.n,
             "fields": self.field_names,
-            "times": self.times.tolist(),
-            "states": self.states.tolist(),
-            "sum_rho_drift": self.sum_rho_drift.tolist(),
-            "spectrum_drift": self.spectrum_drift.tolist(),
+            "times": self.times,
+            "states": self.states,
+            "sum_rho_drift": self.sum_rho_drift,
+            "spectrum_drift": self.spectrum_drift,
         }
 
     @property

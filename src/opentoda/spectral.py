@@ -158,52 +158,36 @@ def _lanczos_from_spectrum(zs, w0):
     """Tridiagonalize diag(zs) starting from the vector w0.
 
     Returns the recurrence coefficients (alpha (n,), beta (n-1,)); beta comes
-    out positive. Full reorthogonalization is applied twice per step, which
-    keeps the reconstruction valid at n = 8 in double precision. Raises
-    ConvergenceFailure on breakdown (numerically dependent start data).
+    out positive. Each new vector is reorthogonalized against all earlier
+    ones by classical Gram-Schmidt applied twice (Giraud, Langou &
+    Rozloznik, Comput. Math. Appl. 50, 2005), two matrix-vector products per
+    pass. Raises ConvergenceFailure on breakdown (numerically dependent start
+    data).
     """
     n = zs.shape[0]
     alpha = np.zeros(n)
     beta = np.zeros(n - 1)
-    Q = np.zeros((n, n))
-    nrm = 0.0
-    for i in range(n):
-        nrm += w0[i] * w0[i]
-    nrm = math.sqrt(nrm)
+    nrm = math.sqrt(w0 @ w0)
     if nrm == 0.0:
         raise ConvergenceFailure("Lanczos breakdown; spectral data degenerate")
-    for i in range(n):
-        Q[i, 0] = w0[i] / nrm
-    u = np.empty(n)
+    # row j holds the j-th Lanczos vector
+    Q = np.zeros((n, n))
+    Q[0] = w0 / nrm
     for j in range(n):
-        for i in range(n):
-            u[i] = zs[i] * Q[i, j]
+        u = zs * Q[j]
         if j > 0:
-            for i in range(n):
-                u[i] -= beta[j - 1] * Q[i, j - 1]
-        a = 0.0
-        for i in range(n):
-            a += Q[i, j] * u[i]
-        alpha[j] = a
-        for i in range(n):
-            u[i] -= a * Q[i, j]
+            u -= beta[j - 1] * Q[j - 1]
+        alpha[j] = Q[j] @ u
+        u -= alpha[j] * Q[j]
+        V = Q[: j + 1]
         for _ in range(2):
-            for col in range(j + 1):
-                dp = 0.0
-                for i in range(n):
-                    dp += Q[i, col] * u[i]
-                for i in range(n):
-                    u[i] -= dp * Q[i, col]
+            u -= (V @ u) @ V
         if j < n - 1:
-            b = 0.0
-            for i in range(n):
-                b += u[i] * u[i]
-            b = math.sqrt(b)
+            b = math.sqrt(u @ u)
             if not (b > 0.0) or not np.isfinite(b):
                 raise ConvergenceFailure("Lanczos breakdown; spectral data degenerate")
             beta[j] = b
-            for i in range(n):
-                Q[i, j + 1] = u[i] / b
+            Q[j + 1] = u / b
     return alpha, beta
 
 
@@ -211,7 +195,7 @@ def inverse_transform(S):
     """The unique Jacobi matrix whose spectral data is S.
 
     Lanczos on diag(z) with start vector sqrt(rho) and full
-    reorthogonalization; the recurrence coefficients are the matrix entries,
+    reorthogonalization (CGS2); the recurrence coefficients are the matrix entries,
     with the off-diagonal taken positive. Raises NotInRatNPrime unless
     rho_k > 0 and sum(rho) = 1.
     """

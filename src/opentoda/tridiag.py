@@ -11,9 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainViolation, SingularMatrix
+from .errors import ConvergenceFailure, DomainViolation, ResidueUnderflow, SingularMatrix
 
-_EPS = 2.220446049250313e-16
+# Entries per working array of the twisted factorization: blocks of
+# _BLOCK // n eigenvalues keep its pivots off n x n arrays.
+_BLOCK = 8192
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 
 def _as_finite_1d(x, name):
@@ -119,84 +122,106 @@ def unflaschka(J, q0=0.0):
     return PhasePoint(q=q, p=p)
 
 
-def _ql_eigen_first(diag, off, max_sweeps):
-    """Implicit-shift QL on the symmetric tridiagonal matrix with diagonal
-    diag and off-diagonal off.
+def _eigenvalues(J):
+    """Ascending eigenvalues of J from LAPACK.
 
-    Returns (d, z): the eigenvalues in ascending order and the first row of
-    the eigenvector matrix, i.e. z[k] is the first component of the k-th
-    eigenvector. Raises ConvergenceFailure when some eigenvalue needs more
-    than max_sweeps sweeps.
+    Raises ConvergenceFailure when LAPACK does not converge or returns
+    non-finite values.
     """
-    n = diag.shape[0]
-    d = diag.copy()
-    # e[n-1] is scratch
-    e = np.zeros(n)
-    e[: n - 1] = off
-    z = np.zeros(n)
-    z[0] = 1.0
-    for l in range(n):
-        sweeps = 0
-        while True:
-            m = n - 1
-            for mm in range(l, n - 1):
-                dd = abs(d[mm]) + abs(d[mm + 1])
-                if abs(e[mm]) <= _EPS * dd:
-                    m = mm
-                    break
-            if m == l:
-                break
-            sweeps += 1
-            if sweeps > max_sweeps:
-                raise ConvergenceFailure(f"QL sweep cap {max_sweeps} exceeded")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            if g >= 0.0:
-                g = d[m] - d[l] + e[l] / (g + r)
-            else:
-                g = d[m] - d[l] + e[l] / (g - r)
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                f = z[i + 1]
-                z[i + 1] = s * z[i] + c * f
-                z[i] = c * z[i] - s * f
-            if not underflow:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    # ascending order, carrying the first components along
-    order = np.argsort(d, kind="stable")
-    return d[order], z[order]
+    try:
+        z = np.linalg.eigvalsh(J.to_dense())
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigenvalue solver failed: {exc}") from None
+    if not np.all(np.isfinite(z)):
+        raise ConvergenceFailure("eigenvalue solver returned non-finite values")
+    return z
 
 
-def eigen(J, max_sweeps=60):
+def _pivots(a, c2, pivmin):
+    """Pivots d_0 = a_0, d_i = a_i - c2_{i-1}/d_{i-1} of the LDL^T
+    factorizations of the tridiagonal matrices with diagonals a[:, j] and
+    squared off-diagonal c2, all columns at once.
+
+    A zero or tiny pivot is replaced by -pivmin, as LAPACK's dlar1v does; the
+    recurrence is rerun with that substitution only when one occurs. Raises
+    ConvergenceFailure when a pivot is still not finite.
+    """
+    d = np.empty_like(a)
+    d[0] = a[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for prev, cur, ai, ci in zip(d, d[1:], a[1:], c2):
+            np.divide(ci, prev, out=cur)
+            np.subtract(ai, cur, out=cur)
+        if not np.all(np.abs(d) >= pivmin):
+            d[0][np.abs(d[0]) < pivmin] = -pivmin
+            for prev, cur, ai, ci in zip(d, d[1:], a[1:], c2):
+                np.subtract(ai, ci / prev, out=cur)
+                cur[np.abs(cur) < pivmin] = -pivmin
+    if not np.all(np.isfinite(d)):
+        raise ConvergenceFailure("non-finite pivot in the twisted factorization")
+    return d
+
+
+def _log_first_squares(v, c, z):
+    """log u_0^2 of the unit eigenvectors u of the Jacobi matrix (v, c) at
+    its eigenvalues z.
+
+    For each eigenvalue, the twisted factorization of L - z (Dhillon &
+    Parlett, LAA 387, 2004) takes the forward and backward pivots d+ and d-,
+    twists at r = argmin |gamma_r|, gamma_r = d+_r + d-_r - (v_r - z), and
+    builds log|u_i| outward from u_r = 1 as sums of log|c/d|. Tiny components
+    keep their relative accuracy, since no orthogonal rotation mixes them
+    with large ones. The pivots of a block of eigenvalues are evaluated
+    together, so the working arrays hold n x (_BLOCK // n) entries.
+    """
+    n = v.size
+    out = np.zeros(z.size)
+    if n == 1:
+        return out
+    c2 = c * c
+    pivmin = np.finfo(float).tiny * max(1.0, float(c2.max()))
+    # forward and backward recurrences run side by side: column 0 of the
+    # middle axis holds rows in order, column 1 holds them reversed
+    both = np.stack([c2, c2[::-1]], axis=1)[:, :, None]
+    logc = np.log(c)[:, None]
+    below = np.arange(n - 1)[:, None]
+    step = max(1, _BLOCK // n)
+    for s in range(0, z.size, step):
+        with np.errstate(over="ignore"):
+            # an overflow here becomes a non-finite pivot, which _pivots reports
+            a = v[:, None] - z[None, s : s + step]
+        d = _pivots(np.stack([a, a[::-1]], axis=1), both, pivmin)
+        dp, dm = d[:, 0], d[::-1, 1]
+        r = np.argmin(np.abs(dp + dm - a), axis=0)
+        # above the twist u_i = -(c_i/d+_i) u_{i+1}; below it
+        # u_i = -(c_{i-1}/d-_i) u_{i-1}
+        up = np.where(below < r, logc - np.log(np.abs(dp[:-1])), 0.0)
+        down = np.where(below >= r, logc - np.log(np.abs(dm[1:])), 0.0)
+        logu = np.zeros(a.shape)
+        logu[:-1] = np.cumsum(up[::-1], axis=0)[::-1]
+        logu[1:] += np.cumsum(down, axis=0)
+        top = logu.max(axis=0)
+        norm = np.log(np.sum(np.exp(2.0 * (logu - top)), axis=0))
+        out[s : s + step] = 2.0 * (logu[0] - top) - norm
+    return out
+
+
+def eigen(J):
     """Eigenvalues (ascending) and first eigenvector components of J.
 
-    The first components are sign-normalized positive; they are never zero
-    when c_k > 0. Raises ConvergenceFailure when the QL iteration exceeds
-    max_sweeps for some eigenvalue.
+    The eigenvalues come from LAPACK, the first components from twisted
+    factorizations, each to relative accuracy however small it is; they are
+    positive and never zero when c_k > 0. Raises ResidueUnderflow when a
+    squared component lies below the smallest normal double, and
+    ConvergenceFailure when the eigenvalues or the pivots are not finite.
     """
-    d, z = _ql_eigen_first(J.v, J.c, max_sweeps)
-    return d, np.abs(z)
+    z = _eigenvalues(J)
+    log_rho = _log_first_squares(J.v, J.c, z)
+    if float(log_rho.min()) < _LOG_TINY:
+        raise ResidueUnderflow(
+            f"residue exp({float(log_rho.min()):.4g}) is below the smallest normal double"
+        )
+    return z, np.exp(0.5 * log_rho)
 
 
 def truncated_charpoly(J, k, p, z):
@@ -270,7 +295,7 @@ def trace_power(J, m):
     """
     if m < -1:
         raise DomainViolation("m must be >= -1")
-    z, _ = eigen(J)
+    z = _eigenvalues(J)
     if m == -1:
         if np.min(np.abs(z)) < 1e-12:
             raise SingularMatrix("eigenvalue at zero; inverse trace undefined")

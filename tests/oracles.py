@@ -90,6 +90,49 @@ def pi_cv_loop(p, n, x):
     return M - M.T
 
 
+def lanczos_loop(zs, w0):
+    """spectral._lanczos_from_spectrum one element at a time: full
+    reorthogonalization by modified Gram-Schmidt, applied twice per step."""
+    n = zs.shape[0]
+    alpha = np.zeros(n)
+    beta = np.zeros(n - 1)
+    Q = np.zeros((n, n))
+    nrm = 0.0
+    for i in range(n):
+        nrm += w0[i] * w0[i]
+    nrm = np.sqrt(nrm)
+    for i in range(n):
+        Q[i, 0] = w0[i] / nrm
+    u = np.empty(n)
+    for j in range(n):
+        for i in range(n):
+            u[i] = zs[i] * Q[i, j]
+        if j > 0:
+            for i in range(n):
+                u[i] -= beta[j - 1] * Q[i, j - 1]
+        a = 0.0
+        for i in range(n):
+            a += Q[i, j] * u[i]
+        alpha[j] = a
+        for i in range(n):
+            u[i] -= a * Q[i, j]
+        for _ in range(2):
+            for col in range(j + 1):
+                dp = 0.0
+                for i in range(n):
+                    dp += Q[i, col] * u[i]
+                for i in range(n):
+                    u[i] -= dp * Q[i, col]
+        if j < n - 1:
+            b = 0.0
+            for i in range(n):
+                b += u[i] * u[i]
+            beta[j] = np.sqrt(b)
+            for i in range(n):
+                Q[i, j + 1] = u[i] / beta[j]
+    return alpha, beta
+
+
 def exact_flow_rho(z, rho, k, t):
     """Residues of the closed-form X_k flow at one time t, evaluated on 1-D
     arrays; the OverflowGuard checks come in the same order."""
@@ -142,8 +185,11 @@ def trajectory_csv(traj, stream):
 
 
 def dump_json(doc, stream):
-    """cli.dump_json through json.dump's own indenting encoder."""
-    json.dump(doc, stream, sort_keys=True, separators=(",", ": "), indent=1)
+    """cli.dump_json through json.dump's own indenting encoder, with numpy
+    arrays written as their nested lists."""
+    json.dump(
+        doc, stream, sort_keys=True, separators=(",", ": "), indent=1, default=lambda a: a.tolist()
+    )
     stream.write("\n")
 
 

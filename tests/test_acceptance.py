@@ -67,6 +67,14 @@ def test_ac01_round_trip():
         J = random_jacobi(rng, n)
         worst = max(worst, roundtrip_gap(J, inverse_transform(direct_transform(J))))
     report("AC1 round trip (200 matrices, N in 1..8)", worst, TOL["roundtrip_lanczos"])
+    # localized families whose smallest residues reach 1e-30 and below
+    rng = np.random.default_rng(111)
+    worst = 0.0
+    for n in (64, 128):
+        for _ in range(5):
+            J = JacobiMatrix(v=rng.uniform(-1.0, 1.0, n), c=rng.uniform(0.5, 1.5, n - 1))
+            worst = max(worst, roundtrip_gap(J, inverse_transform(direct_transform(J))))
+    report("AC1 round trip (10 matrices, N in {64, 128})", worst, TOL["roundtrip_lanczos"])
 
 
 def test_ac02_spectral_representation():

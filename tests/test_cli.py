@@ -146,6 +146,15 @@ def test_transform_rejects_unnormalized_mass(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_transform_residue_underflow_exits_3(tmp_path, capsys):
+    # the outer residues are about 1e-400; emitting them as 0 would give a
+    # state the inverse transform refuses
+    path = write_envelope(tmp_path, JacobiMatrix(v=np.zeros(3), c=np.array([1e-200, 1.0])))
+    rc, out, err = run(["transform", path], capsys)
+    assert rc == 3 and out == ""
+    assert "blow-up:" in err and "Traceback" not in err
+
+
 def test_evolve_csv(tmp_path, capsys):
     path = write_envelope(tmp_path, worked_spectral())
     out_path = tmp_path / "traj.csv"

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from opentoda import (
     CoincidentPoles,
+    ConvergenceFailure,
     DomainViolation,
     JacobiMatrix,
     NotInRatNPrime,
@@ -23,6 +24,9 @@ from opentoda import (
     weyl_rat,
 )
 
+from opentoda.spectral import _lanczos_from_spectrum
+
+import oracles
 from conftest import random_jacobi, random_spectral
 
 
@@ -69,6 +73,23 @@ def test_roundtrip_property(n, seed):
     assert np.max(np.abs(back.v - J.v)) <= 1e-10 * scale
     if n > 1:
         assert np.max(np.abs(back.c - J.c)) <= 1e-10 * scale
+
+
+def test_lanczos_matches_element_loop(rng):
+    # CGS2 sums in another order than the loop's modified Gram-Schmidt;
+    # bound fixed beforehand from the dtype: 1e-12 of the spectrum's scale
+    for n in (1, 2, 8, 48):
+        S = direct_transform(random_jacobi(rng, n))
+        got = _lanczos_from_spectrum(S.z, np.sqrt(S.rho))
+        want = oracles.lanczos_loop(S.z, np.sqrt(S.rho))
+        scale = 1.0 + np.max(np.abs(S.z))
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w), initial=0.0) <= 1e-12 * scale
+
+
+def test_lanczos_breakdown():
+    with pytest.raises(ConvergenceFailure):
+        _lanczos_from_spectrum(np.array([-1.0, 1.0]), np.zeros(2))
 
 
 def test_stieltjes_matches_lanczos(rng):

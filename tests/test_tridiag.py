@@ -16,7 +16,8 @@ from opentoda import (
     unflaschka,
 )
 
-from opentoda.tridiag import power_bands
+from opentoda import OverflowGuard, ResidueUnderflow, tridiag
+from opentoda.tridiag import _log_first_squares, power_bands
 
 from conftest import random_jacobi
 from oracles import dense_power
@@ -86,9 +87,74 @@ def test_eigen_against_scipy(rng):
             assert np.all(w > 0)
 
 
-def test_eigen_convergence_cap(worked):
+def test_eigen_convergence_failure(worked, monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
     with pytest.raises(ConvergenceFailure):
-        eigen(worked, max_sweeps=0)
+        eigen(worked)
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.array([np.nan, 1.0]))
+    with pytest.raises(ConvergenceFailure):
+        eigen(worked)
+    with pytest.raises(ConvergenceFailure):
+        trace_power(worked, 2)
+
+
+def test_eigen_non_finite_pivots():
+    # v - z overflows on the way to the pivots
+    with pytest.raises(ConvergenceFailure):
+        eigen(JacobiMatrix(v=np.array([1e308, -1e308]), c=np.array([1.0])))
+
+
+def test_eigen_underflow_is_loud():
+    # rho of the two outer eigenvalues is about 1e-400
+    with pytest.raises(ResidueUnderflow):
+        eigen(JacobiMatrix(v=np.zeros(3), c=np.array([1e-200, 1.0])))
+    assert issubclass(ResidueUnderflow, OverflowGuard)
+
+
+def test_twisted_zero_pivot():
+    # at z = 0 the leading 1x1 and trailing 1x1 pivots of L - z vanish
+    # exactly; the eigenvector (1, 0, -1)/sqrt(2) has an interior zero
+    z = np.array([-np.sqrt(2.0), 0.0, np.sqrt(2.0)])
+    log_rho = _log_first_squares(np.zeros(3), np.ones(2), z)
+    np.testing.assert_allclose(np.exp(log_rho), [0.25, 0.5, 0.25], rtol=1e-14)
+    _, w = eigen(JacobiMatrix(v=np.zeros(3), c=np.ones(2)))
+    np.testing.assert_allclose(w**2, [0.25, 0.5, 0.25], rtol=1e-14)
+
+
+def test_twisted_blocks_match_one_block(rng, monkeypatch):
+    J = random_jacobi(rng, 40)
+    _, whole = eigen(J)
+    monkeypatch.setattr(tridiag, "_BLOCK", 3 * J.n)
+    _, blocked = eigen(J)
+    np.testing.assert_array_equal(blocked, whole)
+
+
+def test_residues_against_mpmath():
+    """Squared first components against 80-digit QL with first-row
+    accumulation (the kernel of mpmath's eigsy), on families whose smallest
+    residues reach 1e-48. Bound fixed before measuring: 1e-10 relative."""
+    mp = pytest.importorskip("mpmath")
+    from mpmath.matrices.eigen_symmetric import tridiag_eigen
+
+    mp.mp.dps = 80
+    try:
+        for n, seed in ((48, 11), (64, 12), (96, 13)):
+            rng = np.random.default_rng(seed)
+            v, c = rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 1.5, n - 1)
+            d = mp.matrix([mp.mpf(x) for x in v])
+            e = mp.matrix([mp.mpf(x) for x in c] + [0])
+            first = mp.zeros(1, n)
+            first[0, 0] = 1
+            tridiag_eigen(mp.mp, d, e, first)
+            want = np.array([float(first[0, k] ** 2) for k in range(n)])
+            z, w = eigen(JacobiMatrix(v=v, c=c))
+            np.testing.assert_allclose(z, [float(x) for x in d], rtol=0, atol=1e-13)
+            assert np.max(np.abs(w**2 - want) / want) <= 1e-10
+    finally:
+        mp.mp.dps = 15
 
 
 def test_power_bands_match_dense_power(rng):

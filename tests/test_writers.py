@@ -66,6 +66,12 @@ def test_dump_json_matches_json_dump(rng):
         {2.5: "float keys", -1.0: None},
         {True: "bool keys", False: 0},
         [np.float64(0.1), np.float64(np.nan), 7],
+        {"a": np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308])},
+        {"empty": np.zeros(0), "no_rows": np.zeros((0, 3)), "no_cols": np.zeros((2, 0))},
+        {"column": np.arange(5.0).reshape(5, 1), "row": np.arange(3.0).reshape(1, 3)},
+        {"long": np.arange(600) / 7.0, "wide": np.arange(1200.0).reshape(2, 600) / 3.0},
+        {"cube": np.arange(24.0).reshape(2, 3, 4), "scalar": np.array(2.5)},
+        [np.array([1.0, -0.0]), np.array([[np.nan], [-np.inf]]), np.zeros((0, 4))],
     ]
     for doc in docs:
         assert _text(dump_json, doc) == _text(oracles.dump_json, doc)
