@@ -140,8 +140,14 @@ def dump_json(doc, stream):
 
     def write(value, pad):
         inner = pad + " "
-        is_array = isinstance(value, np.ndarray)
-        if isinstance(value, dict) and value:
+        if isinstance(value, np.ndarray):
+            if value.ndim == 1 and len(value):
+                write_flat(value, pad, np.ndarray.tolist)
+            else:
+                # a 0-d or empty array is a leaf; rows of a higher one are
+                # written one by one
+                write(list(value) if value.ndim > 1 and len(value) else value.tolist(), pad)
+        elif isinstance(value, dict) and value:
             sep = "{\n" + inner
             for key, item in sorted(value.items()):
                 if not isinstance(key, str):
@@ -150,23 +156,27 @@ def dump_json(doc, stream):
                 write(item, inner)
                 sep = ",\n" + inner
             stream.write("\n" + pad + "}")
-        elif value.ndim and len(value) if is_array else isinstance(value, (list, tuple)) and value:
-            sep = "[\n" + inner
-            if value.ndim > 1 if is_array else any(map(isinstance, value, containers)):
+        elif isinstance(value, (list, tuple)) and value:
+            if any(map(isinstance, value, containers)):
+                sep = "[\n" + inner
                 for item in value:
                     stream.write(sep)
                     write(item, inner)
                     sep = ",\n" + inner
+                stream.write("\n" + pad + "]")
             else:
-                for i in range(0, len(value), _JSON_SLICE):
-                    piece = value[i : i + _JSON_SLICE]
-                    if is_array:
-                        piece = piece.tolist()
-                    stream.write(sep + leaf(piece, inner)[1:-1])
-                    sep = ",\n" + inner
-            stream.write("\n" + pad + "]")
+                write_flat(value, pad, list)
         else:
-            stream.write(leaf(value.tolist() if is_array else value, inner))
+            stream.write(leaf(value, inner))
+
+    def write_flat(value, pad, as_list):
+        # as_list turns a slice of value into a list for json's encoder
+        inner = pad + " "
+        sep = "[\n" + inner
+        for i in range(0, len(value), _JSON_SLICE):
+            stream.write(sep + leaf(as_list(value[i : i + _JSON_SLICE]), inner)[1:-1])
+            sep = ",\n" + inner
+        stream.write("\n" + pad + "]")
 
     write(doc, "")
     stream.write("\n")

@@ -16,7 +16,9 @@ from .errors import ConvergenceFailure, DomainViolation, ResidueUnderflow, Singu
 # Entries per working array of the twisted factorization: blocks of
 # _BLOCK // n eigenvalues keep its pivots off n x n arrays.
 _BLOCK = 8192
-_LOG_TINY = math.log(np.finfo(float).tiny)
+# the smallest normal double, the least pivot magnitude of the factorization
+_TINY = np.finfo(float).tiny
+_LOG_TINY = math.log(_TINY)
 
 
 def _as_finite_1d(x, name):
@@ -137,28 +139,21 @@ def _eigenvalues(J):
     return z
 
 
-def _pivots(a, c2, pivmin):
+def _pivots(a, c2):
     """Pivots d_0 = a_0, d_i = a_i - c2_{i-1}/d_{i-1} of the LDL^T
     factorizations of the tridiagonal matrices with diagonals a[:, j] and
     squared off-diagonal c2, all columns at once.
 
-    A zero or tiny pivot is replaced by -pivmin, as LAPACK's dlar1v does; the
-    recurrence is rerun with that substitution only when one occurs. Raises
-    ConvergenceFailure when a pivot is still not finite.
+    A pivot smaller than _TINY in magnitude is replaced by -_TINY, as
+    LAPACK's dlar1v does with its pivmin; with c2 <= 1 every pivot is then
+    finite.
     """
     d = np.empty_like(a)
     d[0] = a[0]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for prev, cur, ai, ci in zip(d, d[1:], a[1:], c2):
-            np.divide(ci, prev, out=cur)
-            np.subtract(ai, cur, out=cur)
-        if not np.all(np.abs(d) >= pivmin):
-            d[0][np.abs(d[0]) < pivmin] = -pivmin
-            for prev, cur, ai, ci in zip(d, d[1:], a[1:], c2):
-                np.subtract(ai, ci / prev, out=cur)
-                cur[np.abs(cur) < pivmin] = -pivmin
-    if not np.all(np.isfinite(d)):
-        raise ConvergenceFailure("non-finite pivot in the twisted factorization")
+    d[0][np.abs(d[0]) < _TINY] = -_TINY
+    for prev, cur, ai, ci in zip(d, d[1:], a[1:], c2):
+        np.subtract(ai, ci / prev, out=cur)
+        cur[np.abs(cur) < _TINY] = -_TINY
     return d
 
 
@@ -178,19 +173,23 @@ def _log_first_squares(v, c, z):
     out = np.zeros(z.size)
     if n == 1:
         return out
+    # residues do not change when the matrix is scaled; dividing by a power
+    # of two is exact and brings every entry within [-1, 1], so c2 <= 1
+    _, e = np.frexp(max(np.abs(v).max(), c.max()))
+    v, c, z = np.ldexp(v, -e), np.ldexp(c, -e), np.ldexp(z, -e)
     c2 = c * c
-    pivmin = np.finfo(float).tiny * max(1.0, float(c2.max()))
     # forward and backward recurrences run side by side: column 0 of the
     # middle axis holds rows in order, column 1 holds them reversed
     both = np.stack([c2, c2[::-1]], axis=1)[:, :, None]
-    logc = np.log(c)[:, None]
+    with np.errstate(divide="ignore"):
+        # an entry below 2^-1074 of the largest scales to 0; its -inf
+        # reaches log rho, and eigen reports the underflow
+        logc = np.log(c)[:, None]
     below = np.arange(n - 1)[:, None]
     step = max(1, _BLOCK // n)
     for s in range(0, z.size, step):
-        with np.errstate(over="ignore"):
-            # an overflow here becomes a non-finite pivot, which _pivots reports
-            a = v[:, None] - z[None, s : s + step]
-        d = _pivots(np.stack([a, a[::-1]], axis=1), both, pivmin)
+        a = v[:, None] - z[None, s : s + step]
+        d = _pivots(np.stack([a, a[::-1]], axis=1), both)
         dp, dm = d[:, 0], d[::-1, 1]
         r = np.argmin(np.abs(dp + dm - a), axis=0)
         # above the twist u_i = -(c_i/d+_i) u_{i+1}; below it
@@ -213,7 +212,7 @@ def eigen(J):
     factorizations, each to relative accuracy however small it is; they are
     positive and never zero when c_k > 0. Raises ResidueUnderflow when a
     squared component lies below the smallest normal double, and
-    ConvergenceFailure when the eigenvalues or the pivots are not finite.
+    ConvergenceFailure when LAPACK fails or returns non-finite eigenvalues.
     """
     z = _eigenvalues(J)
     log_rho = _log_first_squares(J.v, J.c, z)

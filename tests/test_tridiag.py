@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -101,10 +103,26 @@ def test_eigen_convergence_failure(worked, monkeypatch):
         trace_power(worked, 2)
 
 
-def test_eigen_non_finite_pivots():
-    # v - z overflows on the way to the pivots
-    with pytest.raises(ConvergenceFailure):
+def test_eigen_residues_ignore_scale(rng):
+    # c * c would overflow above 1.3e154 and underflow below 1.5e-154
+    J = random_jacobi(rng, 12)
+    z, w = eigen(J)
+    for s in (1e170, 1e-170):
+        zs, ws = eigen(JacobiMatrix(v=s * J.v, c=s * J.c))
+        np.testing.assert_allclose(zs, s * z, rtol=1e-12, atol=1e-12 * s)
+        np.testing.assert_allclose(ws, w, rtol=1e-12)
+    _, w = eigen(JacobiMatrix(v=np.zeros(2), c=np.array([1e160])))
+    np.testing.assert_allclose(w**2, [0.5, 0.5], rtol=1e-14)
+    _, w = eigen(JacobiMatrix(v=np.zeros(3), c=np.array([1e-170, 1e-170])))
+    np.testing.assert_allclose(w**2, [0.25, 0.5, 0.25], rtol=1e-14)
+    # the second residue is about 2.5e-617
+    with pytest.raises(ResidueUnderflow):
         eigen(JacobiMatrix(v=np.array([1e308, -1e308]), c=np.array([1.0])))
+    # c scales to 0 against v; the second residue is about 1e-650
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ResidueUnderflow):
+            eigen(JacobiMatrix(v=np.array([1e10, 0.0]), c=np.array([1e-315])))
 
 
 def test_eigen_underflow_is_loud():
@@ -116,12 +134,15 @@ def test_eigen_underflow_is_loud():
 
 def test_twisted_zero_pivot():
     # at z = 0 the leading 1x1 and trailing 1x1 pivots of L - z vanish
-    # exactly; the eigenvector (1, 0, -1)/sqrt(2) has an interior zero
-    z = np.array([-np.sqrt(2.0), 0.0, np.sqrt(2.0)])
-    log_rho = _log_first_squares(np.zeros(3), np.ones(2), z)
-    np.testing.assert_allclose(np.exp(log_rho), [0.25, 0.5, 0.25], rtol=1e-14)
-    _, w = eigen(JacobiMatrix(v=np.zeros(3), c=np.ones(2)))
-    np.testing.assert_allclose(w**2, [0.25, 0.5, 0.25], rtol=1e-14)
+    # exactly; the eigenvector (1, 0, -1)/sqrt(2) has an interior zero.
+    # log rho then sums logs near +-708 (of the substituted pivot and of
+    # c^2 over it), each good to 708 eps / 2: bound 1e-12 relative
+    for c in (0.5, 1.0, 3.0):
+        z = np.array([-np.sqrt(2.0), 0.0, np.sqrt(2.0)]) * c
+        log_rho = _log_first_squares(np.zeros(3), np.full(2, c), z)
+        np.testing.assert_allclose(np.exp(log_rho), [0.25, 0.5, 0.25], rtol=1e-12)
+        _, w = eigen(JacobiMatrix(v=np.zeros(3), c=np.full(2, c)))
+        np.testing.assert_allclose(w**2, [0.25, 0.5, 0.25], rtol=1e-12)
 
 
 def test_twisted_blocks_match_one_block(rng, monkeypatch):
