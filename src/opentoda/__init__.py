@@ -61,7 +61,6 @@ from .spectral import (
     weyl_rat,
 )
 from .brackets import (
-    Chart,
     Observable,
     PoissonStructure,
     WeightFn,

@@ -12,7 +12,7 @@ and antisymmetrizing, so antisymmetry is exact by construction.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -28,31 +28,9 @@ from .spectral import weyl_eval
 FD_STEP = 2.220446049250313e-16 ** (1.0 / 3.0)
 
 
-@dataclass(frozen=True)
-class Chart:
-    name: str
-    dimension: int
-
-
-def qp_chart(n):
-    return Chart("QP", 2 * n)
-
-
-def cv_chart(n):
-    return Chart("CV", 2 * n - 1)
-
-
-def zrho_chart(n):
-    return Chart("ZRHO", 2 * n)
-
-
 def cv_pack(J):
     """Flatten a Jacobi matrix into the CV state vector."""
     return np.concatenate([J.v, J.c])
-
-
-def cv_unpack(x, n):
-    return np.asarray(x[:n]), np.asarray(x[n:])
 
 
 def zrho_pack(S):
@@ -60,6 +38,7 @@ def zrho_pack(S):
 
 
 def zrho_unpack(x, n):
+    """Split a flat state after n entries: (z, rho), or (v, c) in the c-v chart."""
     return np.asarray(x[:n]), np.asarray(x[n:])
 
 
@@ -145,13 +124,10 @@ class Observable:
 
 @dataclass(frozen=True)
 class PoissonStructure:
-    """A chart tag plus an antisymmetric tensor-valued function of the state."""
+    """A named antisymmetric tensor-valued function of the state."""
 
-    chart: Chart
     name: str
     tensor_fn: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    f: Optional[WeightFn] = None
-    restricted: bool = False
 
     def tensor(self, x):
         return self.tensor_fn(np.asarray(x, dtype=float))
@@ -208,7 +184,7 @@ def pi0_qp(n):
     def tensor(x):
         return T.copy()
 
-    return PoissonStructure(chart=qp_chart(n), name="pi0_qp", tensor_fn=tensor)
+    return PoissonStructure(name="pi0_qp", tensor_fn=tensor)
 
 
 def pi0_cv(n):
@@ -220,13 +196,13 @@ def pi0_cv(n):
     k = np.arange(n - 1)
 
     def tensor(x):
-        v, c = cv_unpack(x, n)
+        v, c = zrho_unpack(x, n)
         M = np.zeros((d, d))
         M[n + k, k] = -0.5 * c
         M[n + k, k + 1] = 0.5 * c
         return M - M.T
 
-    return PoissonStructure(chart=cv_chart(n), name="pi0_cv", tensor_fn=tensor)
+    return PoissonStructure(name="pi0_cv", tensor_fn=tensor)
 
 
 def pi1_cv(n):
@@ -241,7 +217,7 @@ def pi1_cv(n):
     j = np.arange(n - 2)
 
     def tensor(x):
-        v, c = cv_unpack(x, n)
+        v, c = zrho_unpack(x, n)
         M = np.zeros((d, d))
         M[n + k, k] = -0.5 * c * v[:-1]
         M[n + k, k + 1] = 0.5 * c * v[1:]
@@ -249,7 +225,7 @@ def pi1_cv(n):
         M[n + j, n + j + 1] = 0.25 * c[:-1] * c[1:]
         return M - M.T
 
-    return PoissonStructure(chart=cv_chart(n), name="pi1_cv", tensor_fn=tensor)
+    return PoissonStructure(name="pi1_cv", tensor_fn=tensor)
 
 
 def pi2_cv(n):
@@ -266,7 +242,7 @@ def pi2_cv(n):
     j = np.arange(n - 2)
 
     def tensor(x):
-        v, c = cv_unpack(x, n)
+        v, c = zrho_unpack(x, n)
         M = np.zeros((d, d))
         c2, c3 = _pow(c, 2), _pow(c, 3)
         M[n + k, k] = -0.5 * (c * _pow(v[:-1], 2) + c3)
@@ -277,7 +253,7 @@ def pi2_cv(n):
         M[n + j + 1, j] = -0.5 * c2[:-1] * c[1:]
         return M - M.T
 
-    return PoissonStructure(chart=cv_chart(n), name="pi2_cv", tensor_fn=tensor)
+    return PoissonStructure(name="pi2_cv", tensor_fn=tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +343,7 @@ def zrho_tensor(f, n):
         M[n:, n:] = np.triu(B, 1)
         return M - M.T
 
-    return PoissonStructure(chart=zrho_chart(n), name="zrho", tensor_fn=tensor, f=f)
+    return PoissonStructure(name="zrho", tensor_fn=tensor)
 
 
 def zrho_restricted_tensor(f, n):
@@ -400,9 +376,7 @@ def zrho_restricted_tensor(f, n):
         M[n:, n:] = np.triu(B, 1)
         return M - M.T
 
-    return PoissonStructure(
-        chart=zrho_chart(n), name="zrho_restricted", tensor_fn=tensor, f=f, restricted=True
-    )
+    return PoissonStructure(name="zrho_restricted", tensor_fn=tensor)
 
 
 # ---------------------------------------------------------------------------
@@ -460,34 +434,26 @@ def dirac_restrict(base, phi1, phi2, tol=1e-8):
             raise ConstraintBracketNotUnit(f"{{Phi1, Phi2}} = {c!r}")
         return T + (np.outer(w, u) - np.outer(u, w)) / c
 
-    return PoissonStructure(
-        chart=base.chart,
-        name=base.name + "_dirac",
-        tensor_fn=tensor,
-        f=base.f,
-        restricted=True,
-    )
+    return PoissonStructure(name=base.name + "_dirac", tensor_fn=tensor)
 
 
 # ---------------------------------------------------------------------------
 # verification machinery
 
-def jacobi_residual(P, state, triples=None):
+def jacobi_residual(P, state):
     """Largest cyclic-sum residual of the Jacobi identity at a state.
 
     Central finite differences for the tensor derivatives; the residual
     R_ijk = sum_cyc sum_l (d pi_ij/dx_l) pi_lk vanishes for a true Poisson
-    tensor up to FD noise (~1e-8 at unit scale). Returns the max over the
-    given index triples, or over all when triples is None.
+    tensor up to FD noise (~1e-8 at unit scale). Returns the max over all
+    index triples.
     """
     x = np.asarray(state, dtype=float)
     T0 = P.tensor(x)
     dT = _central_differences(P.tensor, x)
     A = np.einsum("lij,lk->ijk", dT, T0)
     R = A + A.transpose(1, 2, 0) + A.transpose(2, 0, 1)
-    if triples is None:
-        return float(np.max(np.abs(R)))
-    return float(max(abs(R[i, j, k]) for (i, j, k) in triples))
+    return float(np.max(np.abs(R)))
 
 
 def pushforward(P, map_fn, state):

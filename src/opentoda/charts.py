@@ -14,7 +14,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .brackets import WeightFn, pushforward, zrho_unpack
+from .brackets import pushforward, zrho_unpack
 from .errors import DomainViolation, SignViolation
 from .ratfun import poly_eval, poly_from_roots
 from .spectral import SpectralData, gammas
@@ -46,24 +46,62 @@ class ChartValues:
     casimirs: Optional[Tuple[float, float]] = None
 
 
-def _pprime(z):
-    """p'(z_k) for the monic polynomial with roots z: the product of the
-    gaps to the other roots."""
+# ---------------------------------------------------------------------------
+# each chart's coordinates as a function of (z, rho), for the values and maps
+
+def _numerator(z, rho):
+    """q(z_k) = p'(z_k) rho_k with p'(z_k) the product of the gaps to the
+    other poles; it alternates in sign when all rho > 0."""
     dz = z[:, None] - z[None, :]
     np.fill_diagonal(dz, 1.0)
-    return dz.prod(axis=1)
+    q = dz.prod(axis=1) * rho
+    if np.any(q == 0):
+        raise SignViolation("numerator vanishes at a pole")
+    return q
+
+
+def _zq(z, rho):
+    return np.concatenate([z, _numerator(z, rho)])
+
+
+def _iy(f, z, rho):
+    q = _numerator(z, rho)
+    return np.concatenate([f.antiderivative(z), np.log(np.abs(q))])
+
+
+def _angles(z, rho):
+    q = _numerator(z, rho)
+    signs = (-1.0) ** np.arange(1, z.size)
+    arg = signs * q[1:] / q[0]
+    if np.any(arg <= 0):
+        raise SignViolation("angle argument (-1)^k q(z_k)/q(z_0) not positive")
+    return np.log(arg)
+
+
+def _action_angle(f, z, rho):
+    return np.concatenate([f.antiderivative(z), _angles(z, rho)])
+
+
+def _gamma_pi(z, rho):
+    """(gamma, pi, Phi1, Phi2) with pi_k = -ln((-1)^{N+k} p(gamma_k)), which
+    interlacing keeps real, and (Phi1, Phi2) = (sum z_k, -ln sum rho)."""
+    n = z.size
+    g, q0 = gammas(SpectralData(z=z, rho=rho))
+    b = ((-1.0) ** (n + 1 + np.arange(n - 1))) * poly_eval(poly_from_roots(z), g)
+    if np.any(b <= 0):
+        raise SignViolation("(-1)^{N+k} p(gamma_k) not positive")
+    return np.concatenate([g, -np.log(b), [float(np.sum(z)), -np.log(q0)]])
 
 
 def numerator_values(S):
     """q(z_k) = p'(z_k) rho_k; alternates in sign when all rho > 0."""
-    return _pprime(S.z) * S.rho
+    return _numerator(S.z, S.rho)
 
 
 def zq_chart(S):
-    q = numerator_values(S)
     n = S.n
     names = tuple(f"z{k}" for k in range(n)) + tuple(f"q(z{k})" for k in range(n))
-    return ChartValues(chart="ZQ", names=names, values=np.concatenate([S.z, q]))
+    return ChartValues(chart="ZQ", names=names, values=_zq(S.z, S.rho))
 
 
 def action_coords(S, f):
@@ -72,61 +110,38 @@ def action_coords(S, f):
 
 
 def iy_chart(S, f):
-    q = numerator_values(S)
-    if np.any(q == 0):
-        raise SignViolation("numerator vanishes at a pole")
-    I = action_coords(S, f)
-    y = np.log(np.abs(q))
     n = S.n
     names = tuple(f"I{k}" for k in range(n)) + tuple(f"y{k}" for k in range(n))
-    return ChartValues(chart="IY", names=names, values=np.concatenate([I, y]))
+    return ChartValues(chart="IY", names=names, values=_iy(f, S.z, S.rho))
 
 
 def angle_coords(S):
     """theta_k = ln((-1)^k q(z_k)/q(z_0)) for k = 1..N-1; the argument is
     positive exactly on the normalized interlacing class."""
-    q = numerator_values(S)
-    signs = (-1.0) ** np.arange(1, S.n)
-    arg = signs * q[1:] / q[0]
-    if np.any(arg <= 0):
-        raise SignViolation("angle argument (-1)^k q(z_k)/q(z_0) not positive")
-    return np.log(arg)
+    return _angles(S.z, S.rho)
 
 
 def action_angle_chart(S, f):
-    I = action_coords(S, f)
-    theta = angle_coords(S)
+    values = _action_angle(f, S.z, S.rho)
     n = S.n
     names = tuple(f"I{k}" for k in range(n)) + tuple(f"theta{k}" for k in range(1, n))
     q0 = float(np.sum(S.rho))
-    casimirs = (float(np.sum(I)), -float(np.log(q0)))
-    return ChartValues(
-        chart="ACTION_ANGLE", names=names,
-        values=np.concatenate([I, theta]), casimirs=casimirs,
-    )
+    casimirs = (float(np.sum(values[:n])), -float(np.log(q0)))
+    return ChartValues(chart="ACTION_ANGLE", names=names, values=values, casimirs=casimirs)
 
 
 def gamma_pi_chart(S):
     """(gamma_k, pi_k) from the numerator roots, plus the Casimir pair
-    (sum z_k, -ln sum rho). pi_k = -ln((-1)^{N+k} p(gamma_k)); interlacing
-    makes the argument positive."""
-    g, q0 = gammas(S)
+    (sum z_k, -ln sum rho)."""
+    values = _gamma_pi(S.z, S.rho)
     n = S.n
-    p = poly_from_roots(S.z)
-    b = ((-1.0) ** (n + 1 + np.arange(n - 1))) * poly_eval(p, g)
-    if np.any(b <= 0):
-        raise SignViolation("(-1)^{N+k} p(gamma_k) not positive")
-    pi = -np.log(b)
     names = (
         tuple(f"gamma{k}" for k in range(1, n))
         + tuple(f"pi{k}" for k in range(1, n))
         + ("Phi1", "Phi2")
     )
-    casimirs = (float(np.sum(S.z)), -float(np.log(q0)))
-    return ChartValues(
-        chart="GAMMA_PI", names=names,
-        values=np.concatenate([g, pi, casimirs]), casimirs=casimirs,
-    )
+    casimirs = tuple(map(float, values[-2:]))
+    return ChartValues(chart="GAMMA_PI", names=names, values=values, casimirs=casimirs)
 
 
 # ---------------------------------------------------------------------------
@@ -142,49 +157,33 @@ class ChartMap:
     expected: np.ndarray
 
 
-def _antisym(M):
-    return M - M.T
+def _flat(coords, n, *head):
+    """coords(*head, z, rho) as a map of the flat z-rho state."""
+    return lambda x: coords(*head, *zrho_unpack(x, n))
 
 
 def zq_map(n):
     """Map to (z, q(z_k)); its target pattern is state-dependent, so no
     constant expectation is attached."""
-
-    def map_fn(x):
-        z, rho = zrho_unpack(x, n)
-        return np.concatenate([z, _pprime(z) * rho])
-
-    return ChartMap(name="ZQ", map_fn=map_fn, expected=np.zeros((2 * n, 2 * n)))
+    return ChartMap(name="ZQ", map_fn=_flat(_zq, n), expected=np.zeros((2 * n, 2 * n)))
 
 
 def iy_map(f, n):
-    def map_fn(x):
-        z, rho = zrho_unpack(x, n)
-        return np.concatenate([f.antiderivative(z), np.log(np.abs(_pprime(z) * rho))])
-
     M = np.zeros((2 * n, 2 * n))
     for k in range(n):
         M[n + k, k] = 1.0
-    return ChartMap(name="IY", map_fn=map_fn, expected=_antisym(M))
+    return ChartMap(name="IY", map_fn=_flat(_iy, n, f), expected=M - M.T)
 
 
 def action_angle_map(f, n):
     if n < 2:
         raise DomainViolation("angles need N >= 2")
-
-    def map_fn(x):
-        z, rho = zrho_unpack(x, n)
-        q = _pprime(z) * rho
-        signs = (-1.0) ** np.arange(1, n)
-        theta = np.log(signs * q[1:] / q[0])
-        return np.concatenate([f.antiderivative(z), theta])
-
     d = 2 * n - 1
     M = np.zeros((d, d))
     for j in range(n - 1):
         M[n + j, j + 1] = 1.0
         M[n + j, 0] = -1.0
-    return ChartMap(name="ACTION_ANGLE", map_fn=map_fn, expected=_antisym(M))
+    return ChartMap(name="ACTION_ANGLE", map_fn=_flat(_action_angle, n, f), expected=M - M.T)
 
 
 def gamma_pi_map(n):
@@ -195,21 +194,12 @@ def gamma_pi_map(n):
     """
     if n < 2:
         raise DomainViolation("gamma-pi needs N >= 2")
-
-    def map_fn(x):
-        z, rho = zrho_unpack(x, n)
-        S = SpectralData(z=z, rho=rho)
-        g, q0 = gammas(S)
-        p = poly_from_roots(z)
-        b = ((-1.0) ** (n + 1 + np.arange(n - 1))) * poly_eval(p, g)
-        return np.concatenate([g, -np.log(b), [float(np.sum(z)), -np.log(q0)]])
-
     d = 2 * n
     M = np.zeros((d, d))
     for j in range(n - 1):
         M[j, (n - 1) + j] = 1.0
     M[d - 2, d - 1] = 1.0
-    return ChartMap(name="GAMMA_PI", map_fn=map_fn, expected=_antisym(M))
+    return ChartMap(name="GAMMA_PI", map_fn=_flat(_gamma_pi, n), expected=M - M.T)
 
 
 def verify_canonical(chart, structure, state):

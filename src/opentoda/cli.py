@@ -83,6 +83,8 @@ def parse_envelope(doc):
         payload = doc["payload"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed envelope: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError("malformed envelope: payload must be an object")
     meta = doc.get("meta")
     theirs = meta.get("conventions") if isinstance(meta, dict) else None
     if theirs is not None and theirs != conventions_hash():
@@ -424,6 +426,8 @@ _SUITES = {
 
 
 def cmd_verify(args):
+    if args.n < 1 or args.trials < 1:
+        raise ValueError("--n and --trials must be at least 1")
     rng = np.random.default_rng(args.seed)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     properties = []
@@ -464,34 +468,24 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 # parser
 
-def _provided(argv):
-    """Dest names the user actually typed, recovered by re-parsing with every
-    default suppressed so untouched flags never reach the namespace."""
-    probe = build_parser()
-    stack = [probe]
-    while stack:
-        p = stack.pop()
-        for action in p._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
-            else:
-                action.default = argparse.SUPPRESS
-    return set(vars(probe.parse_args(argv)))
-
-
-def _apply_config(args, argv):
-    if not getattr(args, "config", None):
-        return args
+def _with_config(args, argv):
+    """argv with the --config file's entries spliced in right after the
+    subcommand as --key=value flags (true as the bare flag, false left out),
+    so argparse checks them as typed flags and flags typed later still win."""
     with open(args.config) as fh:
         doc = json.load(fh)
-    explicit = _provided(argv)
+    if not isinstance(doc, dict):
+        raise ValueError("config file must hold a JSON object")
+    flags = []
     for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if not hasattr(args, key.replace("-", "_")):
             raise ValueError(f"config key {key!r} does not match any flag")
-        if attr not in explicit:
-            setattr(args, attr, value)
-    return args
+        if not isinstance(value, (str, int, float)):
+            raise ValueError(f"config value of {key!r} must be a string, number or boolean")
+        flag = "--" + key.replace("_", "-")
+        if value is not False:
+            flags.append(flag if value is True else f"{flag}={value}")
+    return argv[:1] + flags + argv[1:]
 
 
 def build_parser():
@@ -556,9 +550,11 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        args = _apply_config(args, argv)
+        if args.config:
+            args = parser.parse_args(_with_config(args, argv))
         return args.fn(args)
     except _BLOWUP as exc:
         print(f"blow-up: {exc}", file=sys.stderr)

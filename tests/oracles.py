@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from opentoda.brackets import cv_unpack
+from opentoda.brackets import zrho_unpack
 from opentoda.errors import OverflowGuard
 from opentoda.flows import exact_flow
 
@@ -64,7 +64,7 @@ def lax_commutator(v, c, k):
 
 def pi_cv_loop(p, n, x):
     """The c-v tensor of pi_p at x, filled one coordinate pair at a time."""
-    v, c = cv_unpack(np.asarray(x, dtype=float), n)
+    v, c = zrho_unpack(np.asarray(x, dtype=float), n)
     d = 2 * n - 1
     M = np.zeros((d, d))
     for k in range(n - 1):

@@ -3,6 +3,7 @@ import pytest
 
 from opentoda import (
     DomainViolation,
+    SignViolation,
     JacobiMatrix,
     SpectralData,
     WeightFn,
@@ -24,6 +25,7 @@ from opentoda import (
     pushforward,
     verify_canonical,
     zq_chart,
+    zq_map,
     zrho_pack,
     zrho_restricted_tensor,
     zrho_tensor,
@@ -102,6 +104,48 @@ def test_chart_maps_need_two_sites():
         action_angle_map(ONE, 1)
     with pytest.raises(DomainViolation):
         gamma_pi_map(1)
+
+
+# ---------------------------------------------------------------------------
+# each chart's coordinates are written once: the value function and the map
+# on the flat state agree bit for bit, and both refuse the same bad states
+
+CHARTS = {
+    "zq": (zq_chart, zq_map),
+    "iy": (lambda S: iy_chart(S, ONE), lambda n: iy_map(ONE, n)),
+    "action_angle": (lambda S: action_angle_chart(S, ONE), lambda n: action_angle_map(ONE, n)),
+    "gamma_pi": (gamma_pi_chart, gamma_pi_map),
+}
+
+# a zero residue makes q(z_k) vanish; for gamma-pi a negative residue puts
+# the numerator root outside the interlacing, so (-1)^{N+k} p(gamma_k) < 0
+ZERO_RHO = SpectralData(z=np.array([-1.0, 0.5, 2.0]), rho=np.array([0.5, 0.0, 0.5]))
+OFF_CLASS = SpectralData(z=np.array([-1.0, 1.0]), rho=np.array([1.5, -0.5]))
+BAD_STATE = {"zq": ZERO_RHO, "iy": ZERO_RHO, "action_angle": ZERO_RHO, "gamma_pi": OFF_CLASS}
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_chart_values_equal_chart_map(rng, name):
+    values, chart_map = CHARTS[name]
+    for n in (2, 3, 5):
+        S = random_spectral(rng, n, min_gap=0.4, rho_floor=0.05)
+        np.testing.assert_array_equal(values(S).values, chart_map(n).map_fn(zrho_pack(S)))
+
+
+def test_angle_coords_equal_action_angle_map(rng):
+    S = random_spectral(rng, 4, min_gap=0.4, rho_floor=0.05)
+    theta = action_angle_map(ONE, 4).map_fn(zrho_pack(S))[4:]
+    np.testing.assert_array_equal(angle_coords(S), theta)
+
+
+@pytest.mark.parametrize("name", sorted(CHARTS))
+def test_chart_values_and_map_raise_off_the_chart(name):
+    values, chart_map = CHARTS[name]
+    S = BAD_STATE[name]
+    with pytest.raises(SignViolation):
+        values(S)
+    with pytest.raises(SignViolation):
+        chart_map(S.n).map_fn(zrho_pack(S))
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,14 @@ def test_envelope_conventions_mismatch(tmp_path, capsys):
     assert isinstance(parse_envelope(doc), JacobiMatrix)
 
 
+def test_envelope_payload_not_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps({"kind": "jacobi", "n": 2, "payload": [1, 2]}))
+    rc, out, err = run(["transform", str(path)], capsys)
+    assert rc == 2 and out == ""
+    assert "malformed envelope" in err
+
+
 def test_transform_forward(tmp_path, capsys):
     path = write_envelope(tmp_path, PhasePoint(q=np.zeros(2), p=np.zeros(2)))
     rc, out, _ = run(["transform", path], capsys)
@@ -342,6 +350,60 @@ def test_config_unknown_key(tmp_path, capsys):
     rc, _, err = run(["verify", "--config", str(cfg)], capsys)
     assert rc == 2
     assert "does not match any flag" in err
+
+
+def exit_code(argv, capsys):
+    """main's return code, or the code of the SystemExit argparse raises."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "command,doc,message",
+    [
+        ("verify", [1, 2], "JSON object"),
+        ("evolve", {"t": "abc"}, "invalid float value"),
+        ("verify", {"suite": "nope"}, "invalid choice"),
+        ("verify", {"n": "abc"}, "invalid int value"),
+        ("evolve", {"k": 1.5}, "invalid int value"),
+        ("verify", {"n": [3]}, "string, number or boolean"),
+        ("verify", {"trials": None}, "string, number or boolean"),
+    ],
+)
+def test_config_values_checked_like_flags(tmp_path, capsys, command, doc, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [command, "--config", str(cfg)]
+    if command == "evolve":
+        argv.insert(1, write_envelope(tmp_path, worked_spectral()))
+    rc, out, err = exit_code(argv, capsys)
+    assert rc == 2 and out == ""
+    assert message in err
+
+
+def test_config_booleans(tmp_path, capsys):
+    # true is the bare flag, false leaves it out
+    cfg = tmp_path / "cfg.json"
+    base = ["verify", "--suite", "jacobi", "--n", "3", "--trials", "5", "--config", str(cfg)]
+    cfg.write_text(json.dumps({"negative-control": True}))
+    rc, _, err = run(base, capsys)
+    assert rc == 1 and "PROPERTY FAILURES" in err
+    cfg.write_text(json.dumps({"negative_control": False}))
+    rc, _, err = run(base, capsys)
+    assert rc == 0 and "all properties passed" in err
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--n", "0"), ("--n", "-1"), ("--trials", "0"), ("--trials", "-2")]
+)
+def test_verify_refuses_sizes_below_one(capsys, flag, value):
+    rc, out, err = run(["verify", "--suite", "roundtrip", flag, value], capsys)
+    assert rc == 2 and out == ""
+    assert "at least 1" in err
 
 
 def test_evolve_step_budget(tmp_path, capsys):
