@@ -26,6 +26,8 @@ from .spectral import weyl_eval
 
 # central-difference step scale: machine epsilon to the one-third power
 FD_STEP = 2.220446049250313e-16 ** (1.0 / 3.0)
+# largest |{Phi1, Phi2} - 1| that dirac_restrict accepts at a state
+_CONSTRAINT_TOL = 1e-8
 
 
 def cv_pack(J):
@@ -256,6 +258,15 @@ def pi2_cv(n):
     return PoissonStructure(name="pi2_cv", tensor_fn=tensor)
 
 
+# pi_0, pi_1, pi_2 in the c-v chart, indexed by p
+PI_CV = (pi0_cv, pi1_cv, pi2_cv)
+
+
+def pi_cv_indices(k):
+    """The p, 0 <= p <= min(k, 2), for which pi_p and H_{k-p} give X_k."""
+    return range(min(k, len(PI_CV) - 1) + 1)
+
+
 # ---------------------------------------------------------------------------
 # contour bracket as residue sums
 
@@ -414,13 +425,13 @@ def neg_log_mass(n):
     return Observable(value, grad)
 
 
-def dirac_restrict(base, phi1, phi2, tol=1e-8):
+def dirac_restrict(base, phi1, phi2):
     """Dirac reduction of a Poisson structure by a second-class pair.
 
     {F, G}' = {F, G} + ({Phi2, G}{F, Phi1} - {Phi1, G}{F, Phi2})/{Phi1, Phi2},
     realized on tensors as T + (w u^T - u w^T)/c with u = T grad(Phi1),
     w = T grad(Phi2), c = {Phi1, Phi2}. Raises ConstraintBracketNotUnit when
-    |c - 1| > tol at the evaluation state.
+    |c - 1| > _CONSTRAINT_TOL at the evaluation state.
     """
 
     def tensor(x):
@@ -430,7 +441,7 @@ def dirac_restrict(base, phi1, phi2, tol=1e-8):
         u = T @ g1
         w = T @ g2
         c = float(g1 @ w)
-        if abs(c - 1.0) > tol:
+        if abs(c - 1.0) > _CONSTRAINT_TOL:
             raise ConstraintBracketNotUnit(f"{{Phi1, Phi2}} = {c!r}")
         return T + (np.outer(w, u) - np.outer(u, w)) / c
 

@@ -21,10 +21,12 @@ from .spectral import SpectralData, gammas
 
 __all__ = [
     "ChartValues",
+    "numerator_values",
     "zq_chart",
     "iy_chart",
     "action_coords",
     "angle_coords",
+    "action_angle_chart",
     "gamma_pi_chart",
     "ChartMap",
     "zq_map",

@@ -7,6 +7,7 @@ under a fixed --seed.
 """
 
 import argparse
+import contextlib
 import itertools
 import json
 import sys
@@ -19,12 +20,13 @@ from .brackets import (
     bracket_terms,
     closed_form_bracket,
     jacobi_residual,
+    pi_cv_indices,
     zrho_pack,
     zrho_restricted_tensor,
     zrho_tensor,
 )
 from .errors import ConvergenceFailure, NonFiniteState, OverflowGuard, TodaError
-from .flows import FlowSpec, evolve, exact_flow, hamiltonian_field, lax_rhs
+from .flows import _METHODS, FlowSpec, evolve, exact_flow, hamiltonian_field, lax_rhs
 from .properties import (
     TOL,
     WORKED_TOL,
@@ -49,8 +51,10 @@ from .spectral import (
     direct_transform,
     inverse_transform,
     inverse_transform_stieltjes,
+    to_jacobi,
+    to_spectral,
 )
-from .tridiag import JacobiMatrix, PhasePoint, flaschka, unflaschka
+from .tridiag import JacobiMatrix, PhasePoint, unflaschka
 
 _BLOWUP = (OverflowGuard, NonFiniteState, ConvergenceFailure)
 
@@ -184,20 +188,6 @@ def dump_json(doc, stream):
     stream.write("\n")
 
 
-def to_jacobi(obj):
-    if isinstance(obj, PhasePoint):
-        return flaschka(obj)
-    if isinstance(obj, SpectralData):
-        return inverse_transform(obj)
-    return obj
-
-
-def to_spectral(obj):
-    if isinstance(obj, SpectralData):
-        return obj
-    return direct_transform(to_jacobi(obj))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -223,25 +213,12 @@ def cmd_transform(args):
 def cmd_evolve(args):
     obj = parse_envelope(load_envelope(args.input))
     spec = FlowSpec(k=args.k, method=args.method, t_final=args.t, dt=args.dt, p=args.p)
-    if spec.method == "exact":
-        obj = to_spectral(obj)
-    else:
-        obj = to_jacobi(obj)
     traj = evolve(obj, spec, record_every=args.record_every)
-    if args.file == "-":
-        stream = sys.stdout
-        close = False
-    else:
-        stream = open(args.file, "w")
-        close = True
-    try:
+    with open(args.file, "w") if args.file != "-" else contextlib.nullcontext(sys.stdout) as stream:
         if args.out == "csv":
             traj.to_csv(stream)
         else:
             dump_json(traj.to_payload(), stream)
-    finally:
-        if close:
-            stream.close()
     return 0
 
 
@@ -299,6 +276,11 @@ def _prop(name, residuals, cases):
     }
 
 
+def _trial_size(trial, n):
+    """Matrix size of a trial: 2, 3, .., n in turn (2 alone for n <= 2)."""
+    return 2 + trial % max(1, n - 1)
+
+
 def suite_roundtrip(rng, n, trials):
     lanczos, stieltjes, weyl, mass = [], [], [], []
     for trial in range(trials):
@@ -322,7 +304,7 @@ def suite_jacobi(rng, n, trials, negative=False):
     weights = [WeightFn.power(m) for m in range(4)]
     unres, res, dirac_gap, unit = [], [], [], []
     for trial in range(trials):
-        size = 2 + trial % max(1, n - 1)
+        size = _trial_size(trial, n)
         S = random_spectral(rng, size)
         x = zrho_pack(S)
         f = weights[trial % 4]
@@ -338,7 +320,7 @@ def suite_jacobi(rng, n, trials, negative=False):
             dirac_gap.append(gap)
             unit.append(pair)
     for trial in range(trials):
-        size = 2 + trial % max(1, n - 1)
+        size = _trial_size(trial, n)
         S = random_spectral(rng, size, positive=True)
         gap, pair = dirac_residuals(weights[trial % 3 + 1], S)
         dirac_gap.append(gap)
@@ -354,7 +336,7 @@ def suite_jacobi(rng, n, trials, negative=False):
 def suite_hierarchy(rng, n, trials):
     pmatch, laxmatch, specmatch, semigroup = [], [], [], []
     for trial in range(trials):
-        size = 2 + trial % max(1, n - 1)
+        size = _trial_size(trial, n)
         J = random_jacobi(rng, size)
         k = 1 + trial % 3
         pmatch.extend(p_agreement_gaps(J, k))
@@ -362,7 +344,7 @@ def suite_hierarchy(rng, n, trials):
         gap = float(np.max(np.abs(np.concatenate(lax_rhs(J, k)) - field)))
         laxmatch.append(gap / (1.0 + float(np.max(np.abs(field)))))
         S = random_spectral(rng, size)
-        for p in range(min(k, 2) + 1):
+        for p in pi_cv_indices(k):
             specmatch.append(restricted_flow_gap(S, k, p))
         t1 = 0.3 + 0.1 * (trial % 3)
         t2 = 0.7
@@ -382,7 +364,7 @@ def suite_darboux(rng, n, trials):
     # gap floor keeps that term under the 1e-6 canonicality tolerance
     iy, aa, gp, zq = [], [], [], []
     for trial in range(trials):
-        size = max(2, 2 + trial % max(1, n - 1))
+        size = _trial_size(trial, n)
         S = random_spectral(rng, size, min_gap=0.4, rho_floor=0.05)
         iy.append(iy_deviation(WeightFn.power(0), S))
         Sp = random_spectral(rng, size, positive=True, min_gap=0.4, rho_floor=0.05)
@@ -401,7 +383,7 @@ def suite_darboux(rng, n, trials):
 def suite_casimirs(rng, n, trials):
     tr_res, det_res, inv_res, phi_res = [], [], [], []
     for trial in range(trials):
-        size = 2 + trial % max(1, n - 1)
+        size = _trial_size(trial, n)
         J = random_jacobi(rng, size)
         for residuals, r in zip((tr_res, det_res, inv_res), cv_casimir_residuals(J)):
             residuals.append(r)
@@ -432,12 +414,9 @@ def cmd_verify(args):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     properties = []
     for name in names:
-        suite = _SUITES[name]
-        if name == "jacobi":
-            results = suite(rng, args.n, args.trials, negative=args.negative_control)
-        else:
-            results = suite(rng, args.n, args.trials)
-        for r in results:
+        # only the jacobi suite has a negative control
+        extra = {"negative": args.negative_control} if name == "jacobi" else {}
+        for r in _SUITES[name](rng, args.n, args.trials, **extra):
             r["suite"] = name
             properties.append(r)
     ok = all(r["pass"] for r in properties)
@@ -508,9 +487,7 @@ def build_parser():
     ev.add_argument("input")
     ev.add_argument("--k", type=int, default=1, help="hierarchy index")
     ev.add_argument("--t", type=float, default=1.0, help="final time")
-    ev.add_argument(
-        "--method", choices=("exact", "rk4-lax", "rk4-hamiltonian"), default="exact"
-    )
+    ev.add_argument("--method", choices=_METHODS, default="exact")
     ev.add_argument("--p", type=int, default=0, help="bracket index for rk4-hamiltonian")
     ev.add_argument("--dt", type=float, default=1e-3)
     ev.add_argument("--record-every", type=int, default=1)
@@ -529,11 +506,7 @@ def build_parser():
     br.set_defaults(fn=cmd_bracket)
 
     ve = sub.add_parser("verify", help="run the property suites")
-    ve.add_argument(
-        "--suite",
-        choices=("roundtrip", "jacobi", "hierarchy", "darboux", "casimirs", "all"),
-        default="all",
-    )
+    ve.add_argument("--suite", choices=(*_SUITES, "all"), default="all")
     ve.add_argument("--n", type=int, default=4)
     ve.add_argument("--trials", type=int, default=25)
     ve.add_argument("--seed", type=int, default=0)

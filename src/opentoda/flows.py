@@ -4,24 +4,24 @@ Three routes to the same flow: the Lax commutator in the c-v chart, a
 Hamiltonian pairing (pi_p, H_{k-p}) for p <= min(k, 2), and the exact
 solution in spectral coordinates where the eigenvalues freeze and the
 residues follow a normalized exponential. RK4 is provided for the first
-two; trajectories carry isospectrality diagnostics.
+two. `evolve` runs any of them from any state on one time grid
+(_time_grid), and trajectories carry isospectrality diagnostics.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import cv_pack, pi0_cv, pi1_cv, pi2_cv
+from .brackets import PI_CV, cv_pack, pi_cv_indices
 from .errors import (
-    ConvergenceFailure,
     DomainViolation,
     NonFiniteState,
     OverflowGuard,
     StructureViolation,
     TodaError,
 )
-from .spectral import SpectralData, _require_normalized, direct_transform, inverse_transform
-from .tridiag import JacobiMatrix, PhasePoint, flaschka, power_bands, trace_power
+from .spectral import SpectralData, _require_normalized, to_jacobi, to_spectral
+from .tridiag import JacobiMatrix, PhasePoint, _eigenvalues, band_left_product, power_bands
 
 _METHODS = ("exact", "rk4-lax", "rk4-hamiltonian")
 
@@ -36,13 +36,42 @@ _EXACT_BLOCK = 1 << 16
 
 
 def _step_count(t_final, dt):
-    """Number of dt steps from 0 to t_final, the last one possibly shortened."""
+    """Number of dt steps from 0 to t_final, the last one possibly shortened;
+    DomainViolation unless dt > 0, 0 <= t_final < inf and the count <= MAX_STEPS."""
+    if not dt > 0:
+        raise DomainViolation("dt must be positive")
+    if not np.isfinite(t_final) or t_final < 0:
+        raise DomainViolation("t_final must be finite and >= 0")
     if t_final == 0:
         return 0
     ratio = t_final / dt - 1e-12
     if not ratio <= MAX_STEPS:
         raise DomainViolation(f"t_final / dt asks for more than MAX_STEPS = {MAX_STEPS} steps")
     return int(np.ceil(ratio))
+
+
+def _time_grid(t_final, dt, record_every):
+    """(nsteps, steps, times) of a run from 0 to t_final: its step count,
+    the indices of its recorded steps and the times they end at.
+
+    Step i ends at min(i dt, t_final), the last step on t_final: uniform
+    steps of dt with the last one shortened. Recorded are step 0, every
+    record_every-th step and the last step.
+    """
+    if record_every < 1:
+        raise DomainViolation("record_every must be >= 1")
+    nsteps = _step_count(t_final, dt)
+    # an interval beyond the step count records the endpoints only; the
+    # clamp keeps arange within int64 for any record_every
+    every = min(record_every, nsteps + 1)
+    steps = np.arange(0, nsteps + 1, every)
+    if nsteps % every:
+        steps = np.append(steps, nsteps)
+    times = np.minimum(steps * dt, t_final)
+    if nsteps:
+        # _step_count's 1e-12 slack can leave nsteps dt a rounding short
+        times[-1] = t_final
+    return nsteps, steps, times
 
 
 @dataclass(frozen=True)
@@ -60,12 +89,8 @@ class FlowSpec:
             raise DomainViolation("flow index k must be >= 1")
         if self.method not in _METHODS:
             raise DomainViolation(f"method must be one of {_METHODS}")
-        if not self.dt > 0:
-            raise DomainViolation("dt must be positive")
-        if not np.isfinite(self.t_final) or self.t_final < 0:
-            raise DomainViolation("t_final must be finite and >= 0")
         _step_count(self.t_final, self.dt)
-        if self.method == "rk4-hamiltonian" and not 0 <= self.p <= min(self.k, 2):
+        if self.method == "rk4-hamiltonian" and self.p not in pi_cv_indices(self.k):
             raise DomainViolation("need 0 <= p <= min(k, 2)")
 
 
@@ -73,9 +98,8 @@ def hamiltonian(obj, n):
     """H_n = tr L^{n+1}/(n+1), from either a Jacobi matrix or spectral data."""
     if n < 0:
         raise DomainViolation("hamiltonian index must be >= 0")
-    if isinstance(obj, JacobiMatrix):
-        return trace_power(obj, n + 1) / (n + 1)
-    return float(np.sum(obj.z ** (n + 1))) / (n + 1)
+    z = _eigenvalues(obj) if isinstance(obj, JacobiMatrix) else obj.z
+    return float(np.sum(z ** (n + 1))) / (n + 1)
 
 
 def lax_a(J, k):
@@ -100,10 +124,7 @@ def _lax_rate(v, c, k):
     A = np.zeros((2 * w + 1, n))
     A[1:-1] = power_bands(v, c, k)
     A *= 0.5 * np.sign(np.arange(-w, w + 1))[:, None]
-    # L A: (L A)[i, i+d] = c[i-1] A[i-1, i+d] + v[i] A[i, i+d] + c[i] A[i+1, i+d]
-    LA = v * A
-    LA[:-1, 1:] += c * A[1:, :-1]
-    LA[1:, :-1] += c * A[:-1, 1:]
+    LA = band_left_product(v, c, A)
     # A L: (A L)[i, i+d] = A[i, i+d-1] c[i+d-1] + A[i, i+d] v[i+d] + A[i, i+d+1] c[i+d],
     # with v and c zero-padded so that vp[col[w + d, i]] = v[i + d], cp[...] = c[i + d]
     col = np.arange(n) + np.arange(1, 2 * w + 2)[:, None]
@@ -133,9 +154,7 @@ def lax_rhs(J, k):
     if k < 1:
         raise DomainViolation("need k >= 1")
     vdot, cdot, off = _lax_rate(J.v, J.c, k)
-    norm = float(np.abs(J.v).max())
-    if J.n > 1:
-        norm += 2.0 * float(J.c.max())
+    norm = float(np.abs(J.v).max()) + 2.0 * float(J.c.max(initial=0.0))
     if off > 1e-12 * max(1.0, norm ** (k + 1)):
         raise StructureViolation(f"commutator off-pattern by {off!r}")
     return vdot, cdot
@@ -161,7 +180,7 @@ def _hamiltonian_rate(n, k, p):
     the flat c-v state of n sites."""
     if n == 1:
         return lambda x: np.zeros(1)
-    P = (pi0_cv, pi1_cv, pi2_cv)[p](n)
+    P = PI_CV[p](n)
 
     def rate(x):
         return P.tensor(x) @ _gradient(x[:n], x[n:], k - p)
@@ -173,7 +192,7 @@ def hamiltonian_field(J, k, p):
     """(vdot, cdot) of X_k realized as pi_p applied to grad H_{k-p}."""
     if k < 1:
         raise DomainViolation("need k >= 1")
-    if not 0 <= p <= min(k, 2):
+    if p not in pi_cv_indices(k):
         raise DomainViolation("need 0 <= p <= min(k, 2)")
     xdot = _hamiltonian_rate(J.n, k, p)(cv_pack(J))
     return xdot[: J.n], xdot[J.n :]
@@ -238,31 +257,26 @@ def state_field_names(kind, n):
 
 
 def _spectral_view(kind, n, row):
-    """Eigenvalues and squared first eigenvector components of a Jacobi or
-    phase row.
-
-    Rows go through LAPACK (eigh), one row at a time so memory stays flat;
-    the diagnostics read only z and sum rho, which it gives to rounding. A
-    LAPACK failure raises ConvergenceFailure.
-    """
+    """Eigenvalues of a jacobi or phase row by tridiag._eigenvalues, one row
+    at a time so memory stays flat; a row that is no Jacobi matrix raises
+    DomainViolation, a solver failure ConvergenceFailure."""
     if kind == "jacobi":
-        J = JacobiMatrix(v=row[:n], c=row[n:])
-    else:
-        J = flaschka(PhasePoint(q=row[:n], p=row[n:]))
-    try:
-        z, V = np.linalg.eigh(J.to_dense())
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"diagnostics eigensolve failed: {exc}") from None
-    return z, V[0] ** 2
+        return _eigenvalues(JacobiMatrix(v=row[:n], c=row[n:]))
+    return _eigenvalues(to_jacobi(PhasePoint(q=row[:n], p=row[n:])))
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled flow with per-sample conservation diagnostics.
+    """Sampled flow with per-sample conservation diagnostics, both against
+    the first sample: spectrum_drift is the largest eigenvalue excursion and
+    sum_rho_drift is |sum rho (t) - sum rho (0)|.
 
-    sum_rho_drift tracks |sum rho (t) - sum rho (0)| and spectrum_drift the
-    max eigenvalue excursion, both against the first sample; rows where the
-    diagnostics cannot be evaluated (blown-up states) carry NaN.
+    Spectral rows carry their eigenvalues and residues. For jacobi and phase
+    rows the eigenvalues come from tridiag._eigenvalues, and sum_rho_drift
+    is 0: the residues are the squares of the first row of an orthonormal
+    eigenvector matrix, which sum to |e_0|^2 = 1. Rows whose diagnostics
+    cannot be evaluated (blown-up states) carry NaN in both; raw rows carry
+    0 in both.
     """
 
     kind: str
@@ -285,17 +299,15 @@ class Trajectory:
             dz = states[:, :n] - states[0, :n]
             sd = np.abs(dz, out=dz).max(axis=1)
         elif kind != "raw":
-            z0 = rho0 = None
+            z0 = None
             for i in range(m):
                 try:
-                    z, rho = _spectral_view(kind, n, states[i])
+                    z = _spectral_view(kind, n, states[i])
                 except TodaError:
-                    sr[i] = np.nan
-                    sd[i] = np.nan
+                    sr[i] = sd[i] = np.nan
                     continue
                 if z0 is None:
-                    z0, rho0 = z, float(np.sum(rho))
-                sr[i] = abs(float(np.sum(rho)) - rho0)
+                    z0 = z
                 sd[i] = float(np.max(np.abs(z - z0)))
         return cls(
             kind=kind, n=n, times=times, states=states,
@@ -336,72 +348,48 @@ class Trajectory:
         return self.states[-1]
 
 
-def _check_record_every(record_every):
-    if record_every < 1:
-        raise DomainViolation("record_every must be >= 1")
-
-
 def rk4(field, state, dt, t_final, kind="raw", n=None, record_every=1):
     """Classic fourth-order steps of x' = field(x) from t=0 to t_final.
 
-    Uniform steps of dt with the last one shortened to land on t_final
-    exactly. Records every record_every-th step plus both endpoints. Raises
-    NonFiniteState as soon as a step leaves the finite floats.
+    Steps, recorded rows and their times come from _time_grid, as for the
+    exact flow: uniform steps of dt with the last one shortened to end on
+    t_final, and every record_every-th step recorded plus both endpoints.
+    Raises NonFiniteState as soon as a step leaves the finite floats.
     """
-    if not dt > 0:
-        raise DomainViolation("dt must be positive")
-    if t_final < 0:
-        raise DomainViolation("t_final must be >= 0")
-    _check_record_every(record_every)
-    nsteps = _step_count(t_final, dt)
+    nsteps, steps, times = _time_grid(t_final, dt, record_every)
     x = np.array(state, dtype=float)
     if n is None:
         n = x.size
-    times = [0.0]
-    rows = [x.copy()]
-    t = 0.0
-    for step in range(nsteps):
-        h = min(dt, t_final - t)
+    rows = np.empty((times.size, x.size))
+    rows[0] = x
+    row = 1
+    for step in range(1, nsteps + 1):
+        # the steps before the last end at multiples of dt
+        h = dt if step < nsteps else t_final - (nsteps - 1) * dt
         k1 = np.asarray(field(x))
         k2 = np.asarray(field(x + 0.5 * h * k1))
         k3 = np.asarray(field(x + 0.5 * h * k2))
         k4 = np.asarray(field(x + h * k3))
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
         if not np.all(np.isfinite(x)):
-            raise NonFiniteState(f"state left the finite floats at t = {t!r}")
-        if (step + 1) % record_every == 0 or step == nsteps - 1:
-            times.append(t)
-            rows.append(x.copy())
-    return Trajectory.build(kind, n, np.array(times), np.array(rows))
-
-
-def _lax_field(n, k):
-    def field(x):
-        vdot, cdot, _ = _lax_rate(x[:n], x[n:], k)
-        return np.concatenate([vdot, cdot])
-
-    return field
+            raise NonFiniteState(f"state left the finite floats in step {step} of {nsteps}")
+        if step == steps[row]:
+            rows[row] = x
+            row += 1
+    return Trajectory.build(kind, n, times, rows)
 
 
 def evolve(obj, spec, record_every=1):
-    """Run a FlowSpec on a JacobiMatrix or SpectralData, converting the state
-    to the chart the method wants. Exact propagation evaluates the closed form
-    at the recorded points of the dt grid only; the RK4 methods integrate in
-    the c-v chart."""
-    _check_record_every(record_every)
+    """Run a FlowSpec on a PhasePoint, JacobiMatrix or SpectralData,
+    converting the state by spectral.to_spectral or to_jacobi to the chart
+    the method wants. Every method records the rows of _time_grid. Exact
+    propagation evaluates the closed form at those times only; the RK4
+    methods integrate in the c-v chart."""
     if spec.method == "exact":
-        S = obj if isinstance(obj, SpectralData) else direct_transform(obj)
+        S = to_spectral(obj)
         _require_normalized(S)
         n = S.n
-        nsteps = _step_count(spec.t_final, spec.dt)
-        # an interval beyond the step count records the endpoints only; the
-        # clamp keeps arange within int64 for any record_every
-        every = min(record_every, nsteps + 1)
-        steps = np.arange(every, nsteps + 1, every)
-        if nsteps % every:
-            steps = np.append(steps, nsteps)
-        times = np.concatenate([[0.0], np.minimum(steps * spec.dt, spec.t_final)])
+        _, _, times = _time_grid(spec.t_final, spec.dt, record_every)
         states = np.empty((times.size, 2 * n))
         states[:, :n] = S.z
         states[0, n:] = S.rho
@@ -411,15 +399,13 @@ def evolve(obj, spec, record_every=1):
             states[lo:hi, n:] = _exact_rho(S.z, S.rho, spec.k, times[lo:hi])
         return Trajectory.build("spectral", n, times, states)
 
-    if isinstance(obj, SpectralData):
-        J = inverse_transform(obj)
-    else:
-        J = obj
-    n = J.n
+    J = to_jacobi(obj)
+    n, k = J.n, spec.k
     if spec.method == "rk4-lax":
-        field = _lax_field(n, spec.k)
+        def field(x):
+            return np.concatenate(_lax_rate(x[:n], x[n:], k)[:2])
     else:
-        field = _hamiltonian_rate(n, spec.k, spec.p)
+        field = _hamiltonian_rate(n, k, spec.p)
     return rk4(
         field, cv_pack(J), spec.dt, spec.t_final,
         kind="jacobi", n=n, record_every=record_every,

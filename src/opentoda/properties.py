@@ -32,6 +32,7 @@ from .brackets import (
     pi0_cv,
     pi1_cv,
     pi2_cv,
+    pi_cv_indices,
     pushforward,
     zrho_pack,
     zrho_restricted_tensor,
@@ -202,7 +203,7 @@ def p_agreement_gaps(J, k):
     The shared scale is at most 1 + ||field_0||_inf, so each gap is at least
     the same gap over that scale.
     """
-    fields = [np.concatenate(hamiltonian_field(J, k, p)) for p in range(min(k, 2) + 1)]
+    fields = [np.concatenate(hamiltonian_field(J, k, p)) for p in pi_cv_indices(k)]
     scale = max(1.0, max(float(np.max(np.abs(g))) for g in fields))
     return [float(np.max(np.abs(g - fields[0]))) / scale for g in fields[1:]]
 

@@ -5,7 +5,7 @@ of its Weyl function chi(z) = sum_k rho_k/(z_k - z); the inverse rebuilds the
 matrix by Lanczos tridiagonalization of diag(z) started from sqrt(rho). A
 continued-fraction peeling in pole-residue form is kept as an independent
 secondary route for small N, and a moment-based (Hankel) recovery supports the
-truncated-expansion cross-check.
+truncated-expansion cross-check. to_jacobi and to_spectral convert any state.
 """
 
 import math
@@ -23,7 +23,7 @@ from .errors import (
     SingularMatrix,
 )
 from .ratfun import Rat, poly_from_roots, poly_real_roots
-from .tridiag import JacobiMatrix, eigen
+from .tridiag import JacobiMatrix, PhasePoint, eigen, flaschka
 
 
 @dataclass(frozen=True)
@@ -67,6 +67,22 @@ def direct_transform(J):
     eigenvector components."""
     z, comp = eigen(J)
     return SpectralData(z=z, rho=comp ** 2)
+
+
+def to_jacobi(obj):
+    """The Jacobi matrix of a phase point, spectral data or Jacobi matrix."""
+    if isinstance(obj, PhasePoint):
+        return flaschka(obj)
+    if isinstance(obj, SpectralData):
+        return inverse_transform(obj)
+    return obj
+
+
+def to_spectral(obj):
+    """The spectral data of a phase point, Jacobi matrix or spectral data."""
+    if isinstance(obj, SpectralData):
+        return obj
+    return direct_transform(to_jacobi(obj))
 
 
 def weyl_eval(S, x):
@@ -135,22 +151,25 @@ def validate(z, rho):
         and (z.size == 1 or bool(np.all(np.diff(z) > 0)))
         and bool(np.all(rho != 0))
     )
-    rat_np = rat_n and bool(np.all(rho > 0)) and abs(float(np.sum(rho)) - 1.0) <= 1e-10
+    rat_np = rat_n and _normalized(rho)
     inter = False
     if rat_n and bool(np.all(rho > 0)):
-        if z.size == 1:
-            inter = True
-        else:
-            try:
-                g, _ = gammas(SpectralData(z=z, rho=rho))
-                inter = bool(np.all(z[:-1] < g) and np.all(g < z[1:]))
-            except NonRealOrMultipleRoots:
-                inter = False
+        # one pole has no gammas, and interlaces vacuously
+        try:
+            g, _ = gammas(SpectralData(z=z, rho=rho))
+            inter = bool(np.all(z[:-1] < g) and np.all(g < z[1:]))
+        except NonRealOrMultipleRoots:
+            pass
     return {"ratN": rat_n, "ratNprime": rat_np, "interlaces": inter}
 
 
+def _normalized(rho):
+    """Whether finite residues rho lie in the normalized class."""
+    return bool(np.all(rho > 0)) and abs(float(np.sum(rho)) - 1.0) <= 1e-10
+
+
 def _require_normalized(S):
-    if np.any(S.rho <= 0) or abs(float(np.sum(S.rho)) - 1.0) > 1e-10:
+    if not _normalized(S.rho):
         raise NotInRatNPrime("need rho_k > 0 and sum(rho) = 1 within 1e-10")
 
 

@@ -274,16 +274,22 @@ def power_bands(v, c, k):
     Built by k left products with L, each touching only the 2k + 1 bands, so
     the cost is O(n k^2) against k n^3 for dense powers.
     """
-    n = v.size
-    P = np.zeros((2 * k + 1, n))
+    P = np.zeros((2 * k + 1, v.size))
     P[k] = 1.0
     for _ in range(k):
-        # (L M)[i, i+d] = c[i-1] M[i-1, i+d] + v[i] M[i, i+d] + c[i] M[i+1, i+d]
-        Q = v * P
-        Q[:-1, 1:] += c * P[1:, :-1]
-        Q[1:, :-1] += c * P[:-1, 1:]
-        P = Q
+        P = band_left_product(v, c, P)
     return P
+
+
+def band_left_product(v, c, M):
+    """L M in the band storage of M (row w + d holds M[i, i + d]), for the
+    tridiagonal L with diagonal v and off-diagonal c; bands of L M beyond
+    those M's storage holds are dropped."""
+    # (L M)[i, i+d] = c[i-1] M[i-1, i+d] + v[i] M[i, i+d] + c[i] M[i+1, i+d]
+    Q = v * M
+    Q[:-1, 1:] += c * M[1:, :-1]
+    Q[1:, :-1] += c * M[:-1, 1:]
+    return Q
 
 
 def trace_power(J, m):

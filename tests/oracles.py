@@ -149,12 +149,13 @@ def exact_flow_rho(z, rho, k, t):
 
 def exact_evolve_loop(S, k, t_final, dt, record_every=1):
     """(times, states) of an exact evolve, stepping through every index of
-    the dt grid and calling exact_flow on each recorded one."""
+    the dt grid and calling exact_flow on each recorded one; the last step
+    ends on t_final."""
     nsteps = 0 if t_final == 0 else int(np.ceil(t_final / dt - 1e-12))
     times = [0.0]
     rows = [np.concatenate([S.z, S.rho])]
     for i in range(1, nsteps + 1):
-        t = min(i * dt, t_final)
+        t = t_final if i == nsteps else min(i * dt, t_final)
         if i % record_every == 0 or i == nsteps:
             St = exact_flow(S, k, t)
             times.append(t)

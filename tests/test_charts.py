@@ -239,3 +239,18 @@ def test_cv_tensors_push_to_restricted_zrho(rng, mk, power, shift):
     want = zrho_restricted_tensor(WeightFn.power(power), n).tensor(zrho_pack(S))
     scale = max(1.0, float(np.max(np.abs(want))))
     assert np.max(np.abs(T - want)) <= 1e-6 * scale
+
+
+def test_charts_all_lists_every_public_name():
+    import inspect
+
+    from opentoda import charts
+
+    public = {
+        name
+        for name, obj in vars(charts).items()
+        if not name.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == charts.__name__
+    }
+    assert public == set(charts.__all__)

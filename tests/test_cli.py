@@ -484,6 +484,17 @@ def test_benchmark_tracer_finds_its_targets():
         assert getattr(cli, f"suite_{name}") is originals[name]
 
 
+def test_parser_choices_come_from_the_registries():
+    from opentoda import flows
+
+    def choices(command, flag):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        return next(a for a in sub.choices[command]._actions if flag in a.option_strings).choices
+
+    assert tuple(choices("evolve", "--method")) == flows._METHODS
+    assert tuple(choices("verify", "--suite")) == (*cli._SUITES, "all")
+
+
 def test_verify_large_n_exits_2():
     # from n = 12 on, the Darboux suite asks for pole gaps that rarely or never fit
     src = str(Path(opentoda.__file__).resolve().parents[1])

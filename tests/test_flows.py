@@ -9,6 +9,7 @@ from opentoda import (
     JacobiMatrix,
     NonFiniteState,
     OverflowGuard,
+    PhasePoint,
     SpectralData,
     StructureViolation,
     Trajectory,
@@ -16,6 +17,7 @@ from opentoda import (
     eigen,
     evolve,
     exact_flow,
+    flaschka,
     hamiltonian,
     hamiltonian_field,
     hamiltonian_gradient,
@@ -190,9 +192,47 @@ def test_rk4_linear_decay_and_order():
 def test_rk4_records_endpoints():
     traj = rk4(lambda x: -x, np.array([1.0]), 0.1, 0.55, record_every=3)
     assert traj.times[0] == 0.0
-    assert traj.times[-1] == pytest.approx(0.55)
+    assert traj.times[-1] == 0.55
     # interior records only every third step
     assert traj.times.size == 3
+
+
+@pytest.mark.parametrize(
+    "t_final, dt, every",
+    [
+        (0.2, 1e-3, 1),  # rows at 0.15 and friends, where summing h drifts
+        (1.05, 0.1, 4),  # shortened last step; 4 does not divide 11 steps
+        (0.9, 0.3, 2),  # 3 * 0.3 falls a rounding short of 0.9
+        (0.3, 0.1, 10**30),  # endpoints only
+        (0.0, 0.1, 1),
+    ],
+)
+def test_rk4_and_exact_share_the_time_grid(rng, t_final, dt, every):
+    J = random_jacobi(rng, 3)
+    want = evolve(J, FlowSpec(k=1, method="exact", t_final=t_final, dt=dt), every).times
+    assert want[-1] == t_final
+    got = rk4(lambda x: -x, np.ones(2), dt, t_final, record_every=every).times
+    np.testing.assert_array_equal(got, want)
+    for method, p in (("rk4-lax", 0), ("rk4-hamiltonian", 1)):
+        spec = FlowSpec(k=1, method=method, t_final=t_final, dt=dt, p=p)
+        np.testing.assert_array_equal(evolve(J, spec, every).times, want)
+
+
+def test_rk4_last_step_lands_on_t_final():
+    # x' = 1 integrates exactly, so the final state is the time covered
+    for t_final, dt in ((0.55, 0.1), (0.9, 0.3), (0.2, 1e-3)):
+        traj = rk4(lambda x: np.ones(1), np.zeros(1), dt, t_final, record_every=10**9)
+        assert traj.final_state[0] == pytest.approx(t_final, rel=1e-15, abs=0.0)
+
+
+def test_evolve_accepts_phase_points(rng):
+    pt = unflaschka(random_jacobi(rng, 4), q0=0.3)
+    for method in ("exact", "rk4-lax", "rk4-hamiltonian"):
+        spec = FlowSpec(k=2, method=method, t_final=0.1, dt=0.01, p=1)
+        got, want = evolve(pt, spec, 3), evolve(flaschka(pt), spec, 3)
+        assert got.kind == want.kind
+        for name in ("times", "states", "sum_rho_drift", "spectrum_drift"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 @pytest.mark.filterwarnings("ignore:overflow")
@@ -285,28 +325,36 @@ def test_trajectory_diagnostics_match_direct_transform(rng):
         for kind, states in (("jacobi", rows), ("phase", phase)):
             traj = Trajectory.build(kind, n, np.arange(4.0), states)
             for i, S in enumerate(spectra):
-                z, rho = flows._spectral_view(kind, n, states[i])
+                z = flows._spectral_view(kind, n, states[i])
                 scale = 1.0 + np.max(np.abs(S.z))
                 assert np.max(np.abs(z - S.z)) <= 1e-12 * scale
-                assert abs(np.sum(rho) - np.sum(S.rho)) <= 1e-12
                 want = np.max(np.abs(S.z - spectra[0].z))
                 assert abs(traj.spectrum_drift[i] - want) <= 1e-12 * scale
-            assert np.max(traj.sum_rho_drift) <= 1e-12
+            # the residues of an orthonormal eigenbasis sum to |e_0|^2 = 1
+            np.testing.assert_array_equal(traj.sum_rho_drift, 0.0)
 
 
 def test_trajectory_undiagnosable_rows_are_nan(rng, monkeypatch):
-    _, rows = _jacobi_rows(rng, 4, 3)
+    Js, rows = _jacobi_rows(rng, 4, 3)
     rows[1, 4] = -1.0  # c_0 <= 0 is not a Jacobi matrix
-    traj = Trajectory.build("jacobi", 4, np.arange(3.0), rows)
-    assert np.isnan(traj.sum_rho_drift[1]) and np.isnan(traj.spectrum_drift[1])
-    assert np.all(np.isfinite(traj.spectrum_drift[[0, 2]]))
+    phase = np.array([np.concatenate([P.q, P.p]) for P in map(unflaschka, Js)])
+    phase[1, 0] = -1e4  # c_0 = exp((q_0 - q_1)/2) underflows to 0
+    for kind, states in (("jacobi", rows), ("phase", phase)):
+        traj = Trajectory.build(kind, 4, np.arange(3.0), states)
+        assert np.isnan(traj.sum_rho_drift[1]) and np.isnan(traj.spectrum_drift[1])
+        np.testing.assert_array_equal(traj.sum_rho_drift[[0, 2]], 0.0)
+        assert np.all(np.isfinite(traj.spectrum_drift[[0, 2]]))
 
     def no_convergence(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
-    traj = Trajectory.build("jacobi", 4, np.arange(3.0), rows)
-    assert np.all(np.isnan(traj.sum_rho_drift)) and np.all(np.isnan(traj.spectrum_drift))
+    def not_finite(a):
+        return np.full(len(a), np.nan)
+
+    for eigvalsh in (no_convergence, not_finite):
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        traj = Trajectory.build("jacobi", 4, np.arange(3.0), rows)
+        assert np.all(np.isnan(traj.sum_rho_drift)) and np.all(np.isnan(traj.spectrum_drift))
 
 
 def test_trajectory_diagnostics_propagate_other_errors(rng, monkeypatch):
@@ -315,7 +363,7 @@ def test_trajectory_diagnostics_propagate_other_errors(rng, monkeypatch):
     def broken(a):
         raise RuntimeError("not a Toda failure")
 
-    monkeypatch.setattr(np.linalg, "eigh", broken)
+    monkeypatch.setattr(np.linalg, "eigvalsh", broken)
     with pytest.raises(RuntimeError, match="not a Toda failure"):
         Trajectory.build("jacobi", 4, np.arange(2.0), rows)
 
@@ -349,6 +397,7 @@ def test_exact_flow_matches_one_time_formula(rng):
         (3, 1.0, 0.1, 1),
         (3, 1.0, 0.1, 3),
         (3, 1.05, 0.1, 4),  # t_final off the dt grid: the last step is short
+        (3, 0.9, 0.3, 1),  # 3 * 0.3 falls a rounding short of t_final
         (3, 0.0, 0.1, 1),
         (3, 0.3, 0.1, 10**30),  # endpoints only, interval beyond int64
         (1, 0.5, 0.1, 1),

@@ -24,7 +24,8 @@ from opentoda import (
     weyl_rat,
 )
 
-from opentoda.spectral import _lanczos_from_spectrum
+from opentoda.spectral import _lanczos_from_spectrum, _require_normalized, to_jacobi, to_spectral
+from opentoda.tridiag import flaschka, unflaschka
 
 import oracles
 from conftest import random_jacobi, random_spectral
@@ -107,6 +108,34 @@ def test_inverse_requires_normalized():
         inverse_transform(S)
     with pytest.raises(NotInRatNPrime):
         inverse_transform_stieltjes(S)
+
+
+def test_validate_and_inverse_share_the_normalized_class():
+    z = np.array([-1.0, 0.0, 1.0])
+    for rho in ([0.2, 0.3, 0.5], [0.2, 0.3, 0.5 + 9e-11], [0.2, 0.3, 0.5 + 2e-10], [-0.1, 0.6, 0.5]):
+        S = SpectralData(z=z, rho=np.array(rho))
+        try:
+            _require_normalized(S)
+            accepted = True
+        except NotInRatNPrime:
+            accepted = False
+        assert validate(z, rho)["ratNprime"] is accepted
+        assert accepted is (min(rho) > 0 and abs(sum(rho) - 1.0) <= 1e-10)
+
+
+def test_state_conversions(rng):
+    J = random_jacobi(rng, 4)
+    pt = unflaschka(J, q0=0.7)
+    S = direct_transform(J)
+    assert to_jacobi(J) is J and to_spectral(S) is S
+    for got, want in (
+        (to_jacobi(pt), flaschka(pt)),
+        (to_jacobi(S), inverse_transform(S)),
+        (to_spectral(pt), direct_transform(flaschka(pt))),
+        (to_spectral(J), S),
+    ):
+        for a, b in zip(got.as_dict().values(), want.as_dict().values()):
+            np.testing.assert_array_equal(a, b)
 
 
 def test_weyl_three_routes(rng):
