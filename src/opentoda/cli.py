@@ -26,7 +26,15 @@ from .brackets import (
     zrho_tensor,
 )
 from .errors import ConvergenceFailure, NonFiniteState, OverflowGuard, TodaError
-from .flows import _METHODS, FlowSpec, evolve, exact_flow, hamiltonian_field, lax_rhs
+from .flows import (
+    _METHODS,
+    FlowSpec,
+    evolve,
+    exact_flow,
+    frozen_columns,
+    hamiltonian_field,
+    lax_rhs,
+)
 from .properties import (
     TOL,
     WORKED_TOL,
@@ -132,7 +140,11 @@ def dump_json(doc, stream):
 
     A numpy array is written as its nested list (`a.tolist()`): a 1-D array
     as a flat list, converted one slice at a time, and a higher one row by
-    row, so no large array is ever held as Python objects.
+    row, so no large array is ever held as Python objects. Of a non-empty
+    2-D float64 array, the leading columns that flows.frozen_columns finds
+    bit-identical in every row (the frozen eigenvalues of an exact flow) are
+    encoded once, and that text is written into every row before the row's
+    other items.
     """
     encoders = {}
     containers = itertools.repeat((dict, list, tuple, np.ndarray))
@@ -149,6 +161,8 @@ def dump_json(doc, stream):
         if isinstance(value, np.ndarray):
             if value.ndim == 1 and len(value):
                 write_flat(value, pad, np.ndarray.tolist)
+            elif value.ndim == 2 and value.dtype == np.float64 and value.size:
+                write_rows(value, pad)
             else:
                 # a 0-d or empty array is a leaf; rows of a higher one are
                 # written one by one
@@ -175,12 +189,26 @@ def dump_json(doc, stream):
         else:
             stream.write(leaf(value, inner))
 
-    def write_flat(value, pad, as_list):
-        # as_list turns a slice of value into a list for json's encoder
+    def write_flat(value, pad, as_list, head=""):
+        # as_list turns a slice of value into a list for json's encoder; head
+        # is the encoded text of items that come before value's in the list
         inner = pad + " "
-        sep = "[\n" + inner
+        stream.write("[\n" + inner + head)
+        sep = ",\n" + inner if head else ""
         for i in range(0, len(value), _JSON_SLICE):
             stream.write(sep + leaf(as_list(value[i : i + _JSON_SLICE]), inner)[1:-1])
+            sep = ",\n" + inner
+        stream.write("\n" + pad + "]")
+
+    def write_rows(value, pad):
+        # the k leading columns repeat in every row, so are encoded once
+        inner = pad + " "
+        k = frozen_columns(value)
+        head = leaf(value[0, :k].tolist(), inner + " ")[1:-1]
+        sep = "[\n" + inner
+        for row in value[:, k:]:
+            stream.write(sep)
+            write_flat(row, inner, np.ndarray.tolist, head)
             sep = ",\n" + inner
         stream.write("\n" + pad + "]")
 

@@ -44,10 +44,12 @@ def _step_count(t_final, dt):
         raise DomainViolation("t_final must be finite and >= 0")
     if t_final == 0:
         return 0
-    ratio = t_final / dt - 1e-12
+    ratio = t_final / dt
     if not ratio <= MAX_STEPS:
         raise DomainViolation(f"t_final / dt asks for more than MAX_STEPS = {MAX_STEPS} steps")
-    return int(np.ceil(ratio))
+    # rounding t_final, dt and their quotient puts a ratio meant to be an
+    # integer up to about 3 ulps above it; that excess asks for no step
+    return int(np.ceil(ratio - 4 * np.spacing(ratio)))
 
 
 def _time_grid(t_final, dt, record_every):
@@ -69,7 +71,7 @@ def _time_grid(t_final, dt, record_every):
         steps = np.append(steps, nsteps)
     times = np.minimum(steps * dt, t_final)
     if nsteps:
-        # _step_count's 1e-12 slack can leave nsteps dt a rounding short
+        # _step_count's slack of a few ulps can leave nsteps dt a rounding short
         times[-1] = t_final
     return nsteps, steps, times
 
@@ -265,6 +267,26 @@ def _spectral_view(kind, n, row):
     return _eigenvalues(to_jacobi(PhasePoint(q=row[:n], p=row[n:])))
 
 
+def frozen_columns(a):
+    """Number of leading columns of the 2-D float64 array a whose every row
+    holds the same double as row 0 (0 when a has no rows).
+
+    Doubles are compared by bit pattern, not by ==, which holds for 0.0 and
+    -0.0 (they print differently) and fails for a NaN; NaNs that differ in
+    their payload bits count as different. Columns are compared from the
+    left, one at a time, up to the first that differs, so no temporary as
+    large as a is made.
+    """
+    if not len(a):
+        return 0
+    bits = a.view(np.uint64)
+    for k in range(a.shape[1]):
+        column = bits[:, k]
+        if not (column == column[0]).all():
+            return k
+    return a.shape[1]
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled flow with per-sample conservation diagnostics, both against
@@ -320,14 +342,21 @@ class Trajectory:
 
     def to_csv(self, stream):
         """One header line, then one line per sample with every number
-        printed to 17 significant digits, which round-trips the doubles."""
+        printed to 17 significant digits, which round-trips the doubles.
+
+        The leading state columns that frozen_columns finds bit-identical in
+        every row (the frozen eigenvalues of an exact flow) are printed once
+        into the line format; each line prints only the other numbers.
+        """
         names = ["t", *self.field_names, "sum_rho_drift", "spectrum_drift"]
         stream.write(",".join(names) + "\n")
-        fmt = ",".join(["%.17g"] * len(names)) + "\n"
+        k = frozen_columns(self.states)
+        frozen = ["%.17g" % x for x in self.states[:1, :k].ravel().tolist()]
+        fmt = ",".join(["%.17g", *frozen] + ["%.17g"] * (len(names) - 1 - k)) + "\n"
         times = self.times.tolist()
         sr = self.sum_rho_drift.tolist()
         sd = self.spectrum_drift.tolist()
-        for i, row in enumerate(self.states):
+        for i, row in enumerate(self.states[:, k:]):
             stream.write(fmt % (times[i], *row.tolist(), sr[i], sd[i]))
 
     def to_payload(self):

@@ -151,7 +151,8 @@ def exact_evolve_loop(S, k, t_final, dt, record_every=1):
     """(times, states) of an exact evolve, stepping through every index of
     the dt grid and calling exact_flow on each recorded one; the last step
     ends on t_final."""
-    nsteps = 0 if t_final == 0 else int(np.ceil(t_final / dt - 1e-12))
+    ratio = t_final / dt
+    nsteps = 0 if t_final == 0 else int(np.ceil(ratio - 4 * np.spacing(ratio)))
     times = [0.0]
     rows = [np.concatenate([S.z, S.rho])]
     for i in range(1, nsteps + 1):

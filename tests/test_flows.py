@@ -1,4 +1,6 @@
 import io
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -216,6 +218,23 @@ def test_rk4_and_exact_share_the_time_grid(rng, t_final, dt, every):
     for method, p in (("rk4-lax", 0), ("rk4-hamiltonian", 1)):
         spec = FlowSpec(k=1, method=method, t_final=t_final, dt=dt, p=p)
         np.testing.assert_array_equal(evolve(J, spec, every).times, want)
+
+
+def test_time_grid_ends_once_on_t_final():
+    # t_final / dt a few ulps above an integer (9 / 3e-4) must not take a
+    # zero-length extra step that records t_final twice; the step count is
+    # that of the decimal numbers as written
+    for dt in (1e-4, 2e-5, 3e-4, 7e-5, 1e-5):
+        for i in range(1, 401):
+            t_final = i / 10
+            nsteps = flows._step_count(t_final, dt)
+            assert nsteps == math.ceil(Fraction(repr(t_final)) / Fraction(repr(dt)))
+            # records step 0 and the last two steps
+            _, _, times = flows._time_grid(t_final, dt, max(1, nsteps - 1))
+            assert np.all(np.diff(times) > 0), (t_final, dt)
+            assert times[-1] == t_final, (t_final, dt)
+    for t_final, dt, nsteps in ((10.0, 1e-3, 10**4), (10.0, 5e-3, 2000), (0.2, 1e-3, 200)):
+        assert flows._step_count(t_final, dt) == nsteps
 
 
 def test_rk4_last_step_lands_on_t_final():

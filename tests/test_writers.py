@@ -1,5 +1,6 @@
 """The trajectory CSV writer and cli.dump_json write the same bytes as the
-csv-module and json.dump writers kept in tests/oracles.py."""
+csv-module and json.dump writers kept in tests/oracles.py, also where they
+format a frozen block of leading columns once (flows.frozen_columns)."""
 
 import io
 import json
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from opentoda import FlowSpec, JacobiMatrix, Trajectory, cli, evolve, unflaschka
-from opentoda.cli import dump_json, main, make_envelope
+from opentoda.cli import _JSON_SLICE, dump_json, main, make_envelope
+from opentoda.flows import frozen_columns
 
 import oracles
 from conftest import random_jacobi, random_spectral
@@ -75,6 +77,77 @@ def test_dump_json_matches_json_dump(rng):
     ]
     for doc in docs:
         assert _text(dump_json, doc) == _text(oracles.dump_json, doc)
+
+
+def _nan(payload):
+    """A quiet NaN with the given low mantissa bits."""
+    return np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(np.float64)[0]
+
+
+def _blocks(rng):
+    """Pairs of a 2-D float64 array and its number of frozen leading columns."""
+    cases = []
+    width = 5
+    for rows in (1, 4):
+        for k in (0, 1, width - 1, width):
+            a = rng.normal(size=(rows, width))
+            a[:, :k] = a[0, :k]
+            if rows > 1 and k < width:
+                # the first free column differs between rows 0 and 1
+                a[1, k] += 1.0
+            # every column of a single row is frozen
+            cases.append((a, k if rows > 1 else width))
+    signed_zero = np.ones((3, 3))
+    signed_zero[:, 0] = 0.0
+    signed_zero[2, 0] = -0.0
+    cases.append((signed_zero, 0))
+    nans = np.full((3, 3), 2.5)
+    nans[:, 0] = _nan(0)
+    nans[:, 1] = [_nan(1), _nan(1), _nan(2)]
+    cases.append((nans, 1))
+    infs = np.full((3, 3), 0.25)
+    infs[:, 0] = np.inf
+    infs[1:, 2] = -np.inf
+    cases.append((infs, 2))
+    wide = rng.normal(size=(3, 600))
+    wide[:, :300] = wide[0, :300]
+    cases.append((wide, 300))
+    return cases
+
+
+def test_frozen_columns_compares_bit_patterns(rng):
+    for a, k in _blocks(rng):
+        assert frozen_columns(a) == k
+    assert frozen_columns(np.zeros((0, 3))) == 0
+    assert frozen_columns(np.zeros((4, 0))) == 0
+    assert frozen_columns(np.zeros((0, 0))) == 0
+    assert frozen_columns(np.array([[np.nan, -0.0, 1.0]])) == 3
+    # a strided view compares the columns it shows
+    a = np.ones((3, 4))
+    a[1, 1] = 2.0
+    assert frozen_columns(a[:, ::2]) == 2
+    assert frozen_columns(a[::2]) == 4
+
+
+def test_writers_share_frozen_columns_byte_for_byte(rng):
+    for a, _ in _blocks(rng):
+        rows, width = a.shape
+        traj = Trajectory.build("raw", width, np.arange(rows) / 8.0, a)
+        assert _text(traj.to_csv) == _text(oracles.trajectory_csv, traj)
+        for doc in (a, {"outer": {"inner": [a, a[:, ::-1]], "b": 1}}):
+            assert _text(dump_json, doc) == _text(oracles.dump_json, doc)
+
+
+@pytest.mark.parametrize("n", [48, 300])
+def test_exact_trajectory_writers_match_oracles(rng, n):
+    # at n = 300 the frozen block ends off a _JSON_SLICE boundary
+    assert n % _JSON_SLICE
+    S = random_spectral(rng, n, min_gap=0.0)
+    traj = evolve(S, FlowSpec(k=2, method="exact", t_final=0.05, dt=0.01))
+    assert frozen_columns(traj.states) >= n
+    assert _text(traj.to_csv) == _text(oracles.trajectory_csv, traj)
+    doc = traj.to_payload()
+    assert _text(dump_json, doc) == _text(oracles.dump_json, doc)
 
 
 def _envelopes(tmp_path, rng):
