@@ -93,7 +93,7 @@ def parse_envelope(doc):
         kind = doc["kind"]
         n = int(doc["n"])
         payload = doc["payload"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed envelope: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError("malformed envelope: payload must be an object")
@@ -107,7 +107,10 @@ def parse_envelope(doc):
         raw = payload.get(key)
         if raw is None:
             raise ValueError(f"envelope payload missing {key!r}")
-        a = np.asarray(raw, dtype=float)
+        try:
+            a = np.asarray(raw, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed envelope: payload {key!r}: {exc}") from None
         if a.shape != (length,):
             raise ValueError(f"payload {key!r} must have length {length}")
         return a

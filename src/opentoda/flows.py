@@ -29,6 +29,10 @@ _METHODS = ("exact", "rk4-lax", "rk4-hamiltonian")
 # refused up front instead of looping (or allocating rows) without end.
 MAX_STEPS = 10**7
 
+# Largest number of doubles a recorded trajectory may hold (rows x state
+# width, 1 GiB); a larger record is refused before it is allocated.
+MAX_ENTRIES = 2**27
+
 # Elements of z^k t evaluated at once by the exact flow: enough time rows per
 # block to amortize numpy's call overhead, few enough that the temporaries
 # stay small next to the trajectory itself.
@@ -52,13 +56,14 @@ def _step_count(t_final, dt):
     return int(np.ceil(ratio - 4 * np.spacing(ratio)))
 
 
-def _time_grid(t_final, dt, record_every):
+def _time_grid(t_final, dt, record_every, width):
     """(nsteps, steps, times) of a run from 0 to t_final: its step count,
     the indices of its recorded steps and the times they end at.
 
     Step i ends at min(i dt, t_final), the last step on t_final: uniform
     steps of dt with the last one shortened. Recorded are step 0, every
-    record_every-th step and the last step.
+    record_every-th step and the last step. DomainViolation when those rows
+    of width doubles each would hold more than MAX_ENTRIES doubles.
     """
     if record_every < 1:
         raise DomainViolation("record_every must be >= 1")
@@ -66,6 +71,11 @@ def _time_grid(t_final, dt, record_every):
     # an interval beyond the step count records the endpoints only; the
     # clamp keeps arange within int64 for any record_every
     every = min(record_every, nsteps + 1)
+    rows = nsteps // every + 1 + (nsteps % every > 0)
+    if rows * width > MAX_ENTRIES:
+        raise DomainViolation(
+            f"{rows} recorded rows of {width} doubles exceed MAX_ENTRIES = {MAX_ENTRIES}"
+        )
     steps = np.arange(0, nsteps + 1, every)
     if nsteps % every:
         steps = np.append(steps, nsteps)
@@ -385,8 +395,8 @@ def rk4(field, state, dt, t_final, kind="raw", n=None, record_every=1):
     t_final, and every record_every-th step recorded plus both endpoints.
     Raises NonFiniteState as soon as a step leaves the finite floats.
     """
-    nsteps, steps, times = _time_grid(t_final, dt, record_every)
     x = np.array(state, dtype=float)
+    nsteps, steps, times = _time_grid(t_final, dt, record_every, x.size)
     if n is None:
         n = x.size
     rows = np.empty((times.size, x.size))
@@ -418,7 +428,7 @@ def evolve(obj, spec, record_every=1):
         S = to_spectral(obj)
         _require_normalized(S)
         n = S.n
-        _, _, times = _time_grid(spec.t_final, spec.dt, record_every)
+        _, _, times = _time_grid(spec.t_final, spec.dt, record_every, 2 * n)
         states = np.empty((times.size, 2 * n))
         states[:, :n] = S.z
         states[0, n:] = S.rho

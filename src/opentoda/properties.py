@@ -33,7 +33,6 @@ from .brackets import (
     pi1_cv,
     pi2_cv,
     pi_cv_indices,
-    pushforward,
     zrho_pack,
     zrho_restricted_tensor,
     zrho_tensor,
@@ -44,7 +43,6 @@ from .charts import (
     iy_map,
     numerator_values,
     verify_canonical,
-    zq_map,
 )
 from .errors import DomainViolation
 from .flows import exact_flow, hamiltonian_field, spectral_field
@@ -89,38 +87,6 @@ WORKED_TOL = 1e-12
 # ---------------------------------------------------------------------------
 # seeded generators
 
-# Rejection draws allowed per sample. Up to n = 11 an accepted sample needs
-# at worst about 6e5 draws on average (n = 11, gap floor 0.4 on [0.5, 6],
-# acceptance (1 - 10 * 0.4 / 5.5)^11 = 1.6e-6), so the cap changes no draw
-# that succeeds there (a miss has probability e^-16). From n = 12 on, the
-# floors are met rarely and from n = 15 on never; the draw then raises
-# instead of hanging, after about 3 s of batched draws.
-_MAX_DRAWS = 10**7
-
-
-def _draw_accepted(rng, draw, accept, what):
-    """The first sample that passes accept among up to _MAX_DRAWS successive
-    samples, with rng left exactly where drawing them one at a time would.
-
-    draw(rng, m) returns m samples as the rows of an array; numpy's
-    generators give the same numbers for m samples at once as for m single
-    draws. Batches double from one sample up to 4096; once a batch holds an
-    accepted sample, rng is rewound and only the samples up to it are drawn
-    again. Raises DomainViolation when no sample passes.
-    """
-    tried, m = 0, 1
-    while tried < _MAX_DRAWS:
-        m = min(m, _MAX_DRAWS - tried)
-        state = rng.bit_generator.state
-        hits = np.flatnonzero(accept(draw(rng, m)))
-        if hits.size:
-            rng.bit_generator.state = state
-            return draw(rng, hits[0] + 1)[-1]
-        tried += m
-        m = min(2 * m, 4096)
-    raise DomainViolation(f"no {what} in {_MAX_DRAWS} random draws")
-
-
 def random_jacobi(rng, n):
     """v ~ U(-3, 3), c ~ U(0.1, 3)."""
     v = rng.uniform(-3.0, 3.0, size=n)
@@ -130,23 +96,26 @@ def random_jacobi(rng, n):
 
 def random_spectral(rng, n, positive=False, min_gap=0.05, rho_floor=1e-2):
     """Sorted poles uniform on [-3, 3] (on [0.5, 6] when positive), spaced at
-    least min_gap apart, and residues from the flat simplex, each at least
-    rho_floor; both by rejection, capped at _MAX_DRAWS draws."""
+    least min_gap apart, and residues uniform on the flat simplex, each at
+    least rho_floor; DomainViolation when no such state exists.
+
+    Each is one direct draw: n sorted uniform points on an interval shorter
+    by (n - 1) min_gap with the k-th shifted up by k min_gap, a bijection
+    with unit Jacobian onto the spaced points; and rho_floor +
+    (1 - n rho_floor) times a flat simplex point, an affine bijection onto
+    the part of the simplex above the floor. Both are therefore uniform on
+    their constrained sets, as rejection of unconstrained draws would give.
+    """
     lo, hi = (0.5, 6.0) if positive else (-3.0, 3.0)
-    z = _draw_accepted(
-        rng,
-        lambda r, m: np.sort(r.uniform(lo, hi, size=(m, n)), axis=1),
-        lambda zs: np.diff(zs, axis=1).min(axis=1, initial=np.inf) >= min_gap,
-        f"{n} poles in [{lo}, {hi}] spaced {min_gap} or more apart",
-    )
+    room = hi - lo - (n - 1) * min_gap
+    if n > 1 and not room > 0:
+        raise DomainViolation(f"{n} poles in [{lo}, {hi}] cannot be spaced {min_gap} apart")
+    if n * rho_floor > 1:
+        raise DomainViolation(f"{n} residues summing to 1 cannot each be at least {rho_floor}")
+    z = np.sort(rng.uniform(lo, lo + room, size=n)) + min_gap * np.arange(n)
     # the residue floor keeps 1/rho truncation terms of the FD-based checks
     # bounded; it conditions the flat simplex draw, nothing more
-    rho = _draw_accepted(
-        rng,
-        lambda r, m: r.dirichlet(np.ones(n), size=m),
-        lambda rhos: (n == 1) | (rhos.min(axis=1) >= rho_floor),
-        f"{n} residues of at least {rho_floor}",
-    )
+    rho = rho_floor + (1.0 - n * rho_floor) * rng.dirichlet(np.ones(n))
     return SpectralData(z=z, rho=rho)
 
 
@@ -332,11 +301,23 @@ def gamma_pi_deviation(S):
 
 def zq_gap(S):
     """Largest gap between the z-rho tensor of f = 1 pushed to the z-q chart
-    and its relations {q_k, z_m} = q_k delta_km, {z, z} = 0 = {q, q}."""
+    and its relations {q_k, z_m} = q_k delta_km, {z, z} = 0 = {q, q}.
+
+    The chart map (z, rho) -> (z, q) with q_k = rho_k prod_{m != k} (z_k - z_m)
+    is polynomial, so its Jacobian is taken exactly: dq_k/drho_k = q_k/rho_k,
+    dq_k/dz_m = -q_k/(z_k - z_m) for m != k, and dq_k/dz_k is minus the sum
+    of those.
+    """
     n = S.n
-    T = pushforward(zrho_tensor(WeightFn.power(0), n), zq_map(n).map_fn, zrho_pack(S))
+    q = numerator_values(S)
+    gaps = S.z[:, None] - S.z[None, :]
+    np.fill_diagonal(gaps, np.inf)
+    dq_dz = -q[:, None] / gaps
+    dq_dz[np.diag_indices(n)] = -dq_dz.sum(axis=1)
+    D = np.block([[np.eye(n), np.zeros((n, n))], [dq_dz, np.diag(q / S.rho)]])
+    T = D @ zrho_tensor(WeightFn.power(0), n).tensor(zrho_pack(S)) @ D.T
     E = np.zeros((2 * n, 2 * n))
-    E[n + np.arange(n), np.arange(n)] = numerator_values(S)
+    E[n + np.arange(n), np.arange(n)] = q
     return float(np.max(np.abs(T - (E - E.T))))
 
 

@@ -196,7 +196,8 @@ def dump_json(doc, stream):
 
 
 def rand_spectral(rng, n, positive=False, min_gap=0.05, rho_floor=1e-2):
-    """properties.random_spectral as unbounded one-draw-at-a-time rejection loops."""
+    """The distribution of properties.random_spectral, drawn by unbounded
+    one-draw-at-a-time rejection loops."""
     lo, hi = (0.5, 6.0) if positive else (-3.0, 3.0)
     while True:
         z = np.sort(rng.uniform(lo, hi, size=n))

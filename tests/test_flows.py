@@ -230,7 +230,7 @@ def test_time_grid_ends_once_on_t_final():
             nsteps = flows._step_count(t_final, dt)
             assert nsteps == math.ceil(Fraction(repr(t_final)) / Fraction(repr(dt)))
             # records step 0 and the last two steps
-            _, _, times = flows._time_grid(t_final, dt, max(1, nsteps - 1))
+            _, _, times = flows._time_grid(t_final, dt, max(1, nsteps - 1), 1)
             assert np.all(np.diff(times) > 0), (t_final, dt)
             assert times[-1] == t_final, (t_final, dt)
     for t_final, dt, nsteps in ((10.0, 1e-3, 10**4), (10.0, 5e-3, 2000), (0.2, 1e-3, 200)):
@@ -399,6 +399,23 @@ def test_step_budget():
     FlowSpec(k=1, method="exact", t_final=float(flows.MAX_STEPS), dt=1.0)
     with pytest.raises(DomainViolation, match="MAX_STEPS"):
         rk4(lambda x: -x, np.array([1.0]), 1e-9, 1e9, record_every=10**9)
+
+
+def test_entry_budget(rng, monkeypatch):
+    # 11 rows (t = 0, 0.1, .., 1) of 2n = 4 spectral or 2n - 1 = 3 c-v doubles
+    J = random_jacobi(rng, 2)
+    monkeypatch.setattr(flows, "MAX_ENTRIES", 33)
+    assert evolve(J, FlowSpec(k=1, method="rk4-lax", t_final=1.0, dt=0.1)).states.shape == (11, 3)
+    with pytest.raises(DomainViolation, match="MAX_ENTRIES"):
+        evolve(J, FlowSpec(k=1, method="exact", t_final=1.0, dt=0.1))
+    # every other step: 6 rows
+    assert evolve(J, FlowSpec(k=1, method="exact", t_final=1.0, dt=0.1), 2).times.size == 6
+    monkeypatch.setattr(flows, "MAX_ENTRIES", 32)
+    for method in ("rk4-lax", "rk4-hamiltonian"):
+        with pytest.raises(DomainViolation, match="MAX_ENTRIES"):
+            evolve(J, FlowSpec(k=1, method=method, t_final=1.0, dt=0.1))
+    with pytest.raises(DomainViolation, match="MAX_ENTRIES"):
+        rk4(lambda x: -x, np.ones(3), 0.1, 1.0)
 
 
 def test_exact_flow_matches_one_time_formula(rng):
