@@ -8,7 +8,9 @@ Flat state layouts:
   ZRHO  x = (z_0..z_{N-1}, rho_0..rho_{N-1})      dimension 2N
 
 Every tensor is assembled by filling one orientation of each coordinate pair
-and antisymmetrizing, so antisymmetry is exact by construction.
+and antisymmetrizing, so antisymmetry is exact by construction. The c-v
+brackets pi_p couple neighbouring coordinates only; pi_cv_apply applies one
+to a vector in O(n) without forming its tensor.
 """
 
 from dataclasses import dataclass, field
@@ -189,22 +191,73 @@ def pi0_qp(n):
     return PoissonStructure(name="pi0_qp", tensor_fn=tensor)
 
 
-def pi0_cv(n):
-    """Image of the canonical bracket under the Flaschka map:
-    {c_k, v_k} = -c_k/2, {c_k, v_{k+1}} = +c_k/2."""
+def _pi_cv_entries(p, v, c):
+    """The brackets {x_r, x_s} = w of pi_p in the c-v chart at (v, c), as
+    (r0, s0, w) triples: entry i of w is the bracket of x_{r0 + i} with
+    x_{s0 + i}. Each coordinate pair appears once, in one orientation.
+
+    Every pair couples coordinates at most two sites apart, so the triples
+    hold O(n) numbers for n sites.
+    """
+    n = v.size
+    if p == 0:
+        return ((n, 0, -0.5 * c), (n, 1, 0.5 * c))
+    if p == 1:
+        return (
+            (n, 0, -0.5 * c * v[:-1]),
+            (n, 1, 0.5 * c * v[1:]),
+            (0, 1, _pow(c, 2)),
+            (n, n + 1, 0.25 * c[:-1] * c[1:]),
+        )
+    c2, c3 = _pow(c, 2), _pow(c, 3)
+    return (
+        (n, 0, -0.5 * (c * _pow(v[:-1], 2) + c3)),
+        (n, 1, 0.5 * (c * _pow(v[1:], 2) + c3)),
+        (0, 1, c2 * (v[:-1] + v[1:])),
+        (n, n + 1, 0.5 * c[:-1] * c[1:] * v[1:-1]),
+        (n, 2, 0.5 * c[:-1] * c2[1:]),
+        (n + 1, 0, -0.5 * c2[:-1] * c[1:]),
+    )
+
+
+def _pi_cv(p, n):
+    """pi_p on n >= 2 sites, its dense tensor assembled from _pi_cv_entries."""
     if n < 2:
         raise DomainViolation("need N >= 2 in the c-v chart")
     d = 2 * n - 1
-    k = np.arange(n - 1)
 
     def tensor(x):
-        v, c = zrho_unpack(x, n)
         M = np.zeros((d, d))
-        M[n + k, k] = -0.5 * c
-        M[n + k, k + 1] = 0.5 * c
+        flat = M.ravel()
+        for r0, s0, w in _pi_cv_entries(p, *zrho_unpack(x, n)):
+            # entries (r0 + i, s0 + i) lie d + 1 apart in the flat array
+            flat[r0 * d + s0 :: d + 1][: w.size] = w
         return M - M.T
 
-    return PoissonStructure(name="pi0_cv", tensor_fn=tensor)
+    return PoissonStructure(name=f"pi{p}_cv", tensor_fn=tensor)
+
+
+def pi_cv_apply(p, x, g):
+    """pi_p(x) g in the c-v chart, from the banded entries of pi_p: O(n)
+    work, where pi{p}_cv(n).tensor(x) @ g forms the dense tensor first.
+
+    Agrees with the dense product to rounding (the sums run in another
+    order). Any n >= 1; a single site has no bracket and gives zero.
+    """
+    x = np.asarray(x, dtype=float)
+    n = (x.size + 1) // 2
+    y = np.zeros(x.size)
+    for r0, s0, w in _pi_cv_entries(p, *zrho_unpack(x, n)):
+        m = w.size
+        y[r0 : r0 + m] += w * g[s0 : s0 + m]
+        y[s0 : s0 + m] -= w * g[r0 : r0 + m]
+    return y
+
+
+def pi0_cv(n):
+    """Image of the canonical bracket under the Flaschka map:
+    {c_k, v_k} = -c_k/2, {c_k, v_{k+1}} = +c_k/2."""
+    return _pi_cv(0, n)
 
 
 def pi1_cv(n):
@@ -212,22 +265,7 @@ def pi1_cv(n):
     tr L generates the first Toda flow exactly:
     {c_k, c_{k+1}} = c_k c_{k+1}/4, {c_k, v_k} = -c_k v_k/2,
     {c_k, v_{k+1}} = c_k v_{k+1}/2, {v_k, v_{k+1}} = c_k^2."""
-    if n < 2:
-        raise DomainViolation("need N >= 2 in the c-v chart")
-    d = 2 * n - 1
-    k = np.arange(n - 1)
-    j = np.arange(n - 2)
-
-    def tensor(x):
-        v, c = zrho_unpack(x, n)
-        M = np.zeros((d, d))
-        M[n + k, k] = -0.5 * c * v[:-1]
-        M[n + k, k + 1] = 0.5 * c * v[1:]
-        M[k, k + 1] = _pow(c, 2)
-        M[n + j, n + j + 1] = 0.25 * c[:-1] * c[1:]
-        return M - M.T
-
-    return PoissonStructure(name="pi1_cv", tensor_fn=tensor)
+    return _pi_cv(1, n)
 
 
 def pi2_cv(n):
@@ -237,25 +275,7 @@ def pi2_cv(n):
     {c_k, v_{k+1}} = (c_k v_{k+1}^2 + c_k^3)/2,
     {c_k, v_{k+2}} = c_k c_{k+1}^2/2, {c_{k+1}, v_k} = -c_k^2 c_{k+1}/2,
     {v_k, v_{k+1}} = c_k^2 (v_k + v_{k+1})."""
-    if n < 2:
-        raise DomainViolation("need N >= 2 in the c-v chart")
-    d = 2 * n - 1
-    k = np.arange(n - 1)
-    j = np.arange(n - 2)
-
-    def tensor(x):
-        v, c = zrho_unpack(x, n)
-        M = np.zeros((d, d))
-        c2, c3 = _pow(c, 2), _pow(c, 3)
-        M[n + k, k] = -0.5 * (c * _pow(v[:-1], 2) + c3)
-        M[n + k, k + 1] = 0.5 * (c * _pow(v[1:], 2) + c3)
-        M[k, k + 1] = c2 * (v[:-1] + v[1:])
-        M[n + j, n + j + 1] = 0.5 * c[:-1] * c[1:] * v[1:-1]
-        M[n + j, j + 2] = 0.5 * c[:-1] * c2[1:]
-        M[n + j + 1, j] = -0.5 * c2[:-1] * c[1:]
-        return M - M.T
-
-    return PoissonStructure(name="pi2_cv", tensor_fn=tensor)
+    return _pi_cv(2, n)
 
 
 # pi_0, pi_1, pi_2 in the c-v chart, indexed by p

@@ -91,10 +91,13 @@ def make_envelope(obj):
 def parse_envelope(doc):
     try:
         kind = doc["kind"]
-        n = int(doc["n"])
+        n = doc["n"]
         payload = doc["payload"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed envelope: {exc}") from None
+    # a JSON integer only: int() would truncate 2.7, parse "2" and read true as 1
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"malformed envelope: n must be an integer, not {n!r}")
     if not isinstance(payload, dict):
         raise ValueError("malformed envelope: payload must be an object")
     meta = doc.get("meta")

@@ -4,15 +4,18 @@ Three routes to the same flow: the Lax commutator in the c-v chart, a
 Hamiltonian pairing (pi_p, H_{k-p}) for p <= min(k, 2), and the exact
 solution in spectral coordinates where the eigenvalues freeze and the
 residues follow a normalized exponential. RK4 is provided for the first
-two. `evolve` runs any of them from any state on one time grid
-(_time_grid), and trajectories carry isospectrality diagnostics.
+two, and one stage of either costs O(n k^2) with no dense matrix: the Lax
+route forms only the tridiagonal part of the commutator, from the bands of
+L^k, and the Hamiltonian route applies the banded pi_p to grad H_{k-p}.
+`evolve` runs any of them from any state on one time grid (_time_grid),
+and trajectories carry isospectrality diagnostics.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .brackets import PI_CV, cv_pack, pi_cv_indices
+from .brackets import cv_pack, pi_cv_apply, pi_cv_indices
 from .errors import (
     DomainViolation,
     NonFiniteState,
@@ -123,18 +126,41 @@ def lax_a(J, k):
     return 0.5 * (np.triu(P, 1) - np.tril(P, -1))
 
 
-def _lax_rate(v, c, k):
-    """Banded right-hand side of dL/dt = [A_k, L] on raw (v, c) arrays.
+def _lax_rate(v, c, P):
+    """Flat (vdot, cdot) of dL/dt = [A_k, L] on raw (v, c) arrays, from the
+    band storage P = power_bands(v, c, k) of L^k.
 
-    A_k and the commutator live in band storage (row w + d holds entry
-    (i, i + d)), so one call costs O(n k^2). Returns (vdot, cdot, off) with
-    off the largest commutator entry outside the symmetric tridiagonal
-    pattern, which a correct A_k keeps at rounding level.
+    Only entries (i, i) and (i, i + 1) of A_k L - L A_k are formed, from
+    bands 0 to 2 of P, so a call costs O(n) on top of P's O(n k^2):
+      vdot_i = c_i P_{i,i+1} - c_{i-1} P_{i-1,i},
+      cdot_i = (P_{i,i+1} (v_{i+1} - v_i) + c_{i+1} P_{i,i+2} - c_{i-1} P_{i-1,i+1}) / 2.
     """
     n = v.size
-    w = k + 1
+    k = P.shape[0] // 2
+    y = np.zeros(2 * n - 1)
+    P1 = P[k + 1, :-1]
+    f = c * P1
+    y[: n - 1] = f
+    y[1:n] -= f
+    cdot = y[n:]
+    np.multiply(P1, v[1:] - v[:-1], out=cdot)
+    if k > 1:
+        P2 = P[k + 2, :-2]
+        cdot[:-1] += c[1:] * P2
+        cdot[1:] -= c[:-1] * P2
+    cdot *= 0.5
+    return y
+
+
+def _off_pattern(v, c, P):
+    """Largest entry of [A_k, L] outside the symmetric tridiagonal pattern,
+    with A_k and the commutator in band storage (row w + d holds entry
+    (i, i + d)) built from the bands P of L^k; a correct A_k keeps it at
+    rounding level."""
+    n = v.size
+    w = P.shape[0] // 2 + 1
     A = np.zeros((2 * w + 1, n))
-    A[1:-1] = power_bands(v, c, k)
+    A[1:-1] = P
     A *= 0.5 * np.sign(np.arange(-w, w + 1))[:, None]
     LA = band_left_product(v, c, A)
     # A L: (A L)[i, i+d] = A[i, i+d-1] c[i+d-1] + A[i, i+d] v[i+d] + A[i, i+d+1] c[i+d],
@@ -148,28 +174,30 @@ def _lax_rate(v, c, k):
     AL[1:] += A[:-1] * cp[col[1:] - 1]
     AL[:-1] += A[1:] * cp[col[:-1]]
     B = AL - LA
-    off = max(
+    return max(
         float(np.abs(B[: w - 1]).max(initial=0.0)),
         float(np.abs(B[w + 2 :]).max(initial=0.0)),
         float(np.abs(B[w + 1, : n - 1] - B[w - 1, 1:]).max(initial=0.0)),
     )
-    return B[w], B[w + 1, : n - 1], off
 
 
 def lax_rhs(J, k):
-    """Right-hand side (vdot, cdot) of dL/dt = [A_k, L].
+    """Right-hand side (vdot, cdot) of dL/dt = [A_k, L], as the rk4-lax
+    field computes it.
 
     The commutator must land back on the symmetric tridiagonal pattern; any
     off-pattern excursion beyond rounding noise means the skew generator was
-    built wrong, and raises.
+    built wrong, and raises. Its outer bands are formed for this check only.
     """
     if k < 1:
         raise DomainViolation("need k >= 1")
-    vdot, cdot, off = _lax_rate(J.v, J.c, k)
+    P = power_bands(J.v, J.c, k)
+    off = _off_pattern(J.v, J.c, P)
     norm = float(np.abs(J.v).max()) + 2.0 * float(J.c.max(initial=0.0))
     if off > 1e-12 * max(1.0, norm ** (k + 1)):
         raise StructureViolation(f"commutator off-pattern by {off!r}")
-    return vdot, cdot
+    xdot = _lax_rate(J.v, J.c, P)
+    return xdot[: J.n], xdot[J.n :]
 
 
 def _gradient(v, c, m):
@@ -189,13 +217,12 @@ def hamiltonian_gradient(J, m):
 
 def _hamiltonian_rate(n, k, p):
     """The map x -> xdot of X_k realized as pi_p applied to grad H_{k-p}, on
-    the flat c-v state of n sites."""
-    if n == 1:
-        return lambda x: np.zeros(1)
-    P = PI_CV[p](n)
+    the flat c-v state of n sites: the gradient from power_bands and the
+    bracket by brackets.pi_cv_apply, O(n k^2) per call with no dense
+    tensor."""
 
     def rate(x):
-        return P.tensor(x) @ _gradient(x[:n], x[n:], k - p)
+        return pi_cv_apply(p, x, _gradient(x[:n], x[n:], k - p))
 
     return rate
 
@@ -442,7 +469,8 @@ def evolve(obj, spec, record_every=1):
     n, k = J.n, spec.k
     if spec.method == "rk4-lax":
         def field(x):
-            return np.concatenate(_lax_rate(x[:n], x[n:], k)[:2])
+            v, c = x[:n], x[n:]
+            return _lax_rate(v, c, power_bands(v, c, k))
     else:
         field = _hamiltonian_rate(n, k, spec.p)
     return rk4(

@@ -33,6 +33,7 @@ from opentoda import (
     zrho_restricted_tensor,
     zrho_tensor,
 )
+from opentoda.brackets import PI_CV, pi_cv_apply
 from opentoda.properties import constraint_casimir_residuals, corrupt, cv_casimir, dirac_residuals
 
 from conftest import contour_bracket, random_jacobi, random_spectral
@@ -375,3 +376,15 @@ def test_cv_tensors_match_loop_assembly():
             x = cv_pack(random_jacobi(rng, n))
             for p, P in enumerate((pi0_cv, pi1_cv, pi2_cv)):
                 np.testing.assert_array_equal(P(n).tensor(x), pi_cv_loop(p, n, x))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 48, 256])
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_cv_banded_apply_matches_dense_tensor(p, n):
+    rng = np.random.default_rng(1000 * p + n)
+    for _ in range(5):
+        x = cv_pack(random_jacobi(rng, n))
+        g = rng.standard_normal(2 * n - 1)
+        want = PI_CV[p](n).tensor(x) @ g
+        got = pi_cv_apply(p, x, g)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

@@ -100,8 +100,11 @@ def test_envelope_payload_not_an_object(tmp_path, capsys):
     [
         '{"kind": "phase", "n": 1, "payload": {"q": {"a": 1}, "p": [0]}}',
         '{"kind": "phase", "n": 1e400, "payload": {"q": [0], "p": [0]}}',
+        '{"kind": "phase", "n": 2.7, "payload": {"q": [0, 0], "p": [0, 0]}}',
+        '{"kind": "phase", "n": "2", "payload": {"q": [0, 0], "p": [0, 0]}}',
+        '{"kind": "jacobi", "n": true, "payload": {"v": [1.0], "c": []}}',
     ],
-    ids=["object-field", "overflowing-n"],
+    ids=["object-field", "overflowing-n", "fractional-n", "string-n", "bool-n"],
 )
 def test_envelope_malformed_values_exit_2(tmp_path, capsys, text):
     path = tmp_path / "bad.json"

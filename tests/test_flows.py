@@ -135,6 +135,59 @@ def test_hamiltonian_field_matches_lax(rng):
         np.testing.assert_allclose(cdot, lc, atol=1e-10 * scale)
 
 
+def test_hamiltonian_field_single_site():
+    J = JacobiMatrix(v=np.array([1.5]), c=np.zeros(0))
+    for k in (1, 2, 3):
+        for p in range(min(k, 2) + 1):
+            vdot, cdot = hamiltonian_field(J, k, p)
+            np.testing.assert_array_equal(vdot, [0.0])
+            assert cdot.size == 0
+
+
+def _rk4_step(field, x, h):
+    k1 = field(x)
+    k2 = field(x + 0.5 * h * k1)
+    k3 = field(x + 0.5 * h * k2)
+    k4 = field(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def test_rk4_fields_are_the_public_right_hand_sides(rng):
+    # one evolve step equals an RK4 step written out with lax_rhs or
+    # hamiltonian_field, bit for bit
+    n, h = 8, 1e-3
+    J = random_jacobi(rng, n)
+    x = np.concatenate([J.v, J.c])
+
+    def public(rhs, *args):
+        return lambda y: np.concatenate(rhs(JacobiMatrix(v=y[:n], c=y[n:]), *args))
+
+    for k in (1, 2, 3):
+        want = _rk4_step(public(lax_rhs, k), x, h)
+        got = evolve(J, FlowSpec(k=k, method="rk4-lax", t_final=h, dt=h)).final_state
+        np.testing.assert_array_equal(got, want)
+        for p in range(min(k, 2) + 1):
+            want = _rk4_step(public(hamiltonian_field, k, p), x, h)
+            spec = FlowSpec(k=k, method="rk4-hamiltonian", t_final=h, dt=h, p=p)
+            np.testing.assert_array_equal(evolve(J, spec).final_state, want)
+
+
+def test_rk4_lax_and_hamiltonian_routes_agree_at_n48():
+    # perfbench's evolve-rk4 jobs: n = 48, t = 0.2, dt = 1e-3 and states drawn as
+    # here; on states as wide as random_jacobi's, RK4's own truncation error at
+    # k = 3 and this dt already drifts the spectrum by about 1e-5
+    rng = np.random.default_rng(48)
+    J = JacobiMatrix(v=rng.uniform(-1.0, 1.0, 48), c=rng.uniform(0.5, 1.5, 47))
+    for k in (1, 2, 3):
+        lax = evolve(J, FlowSpec(k=k, method="rk4-lax", t_final=0.2), record_every=50)
+        assert np.max(lax.spectrum_drift) <= 1e-8
+        for p in range(min(k, 2) + 1):
+            spec = FlowSpec(k=k, method="rk4-hamiltonian", t_final=0.2, p=p)
+            ham = evolve(J, spec, record_every=50)
+            assert np.max(np.abs(ham.final_state - lax.final_state)) <= 1e-10
+            assert np.max(ham.spectrum_drift) <= 1e-8
+
+
 def test_spectral_field_worked(worked):
     S = direct_transform(worked)
     zdot, rhodot = spectral_field(S, 1)
