@@ -209,10 +209,10 @@ def _pi_cv_entries(p, v, c):
             (0, 1, _pow(c, 2)),
             (n, n + 1, 0.25 * c[:-1] * c[1:]),
         )
-    c2, c3 = _pow(c, 2), _pow(c, 3)
+    c2, c3, v2 = _pow(c, 2), _pow(c, 3), _pow(v, 2)
     return (
-        (n, 0, -0.5 * (c * _pow(v[:-1], 2) + c3)),
-        (n, 1, 0.5 * (c * _pow(v[1:], 2) + c3)),
+        (n, 0, -0.5 * (c * v2[:-1] + c3)),
+        (n, 1, 0.5 * (c * v2[1:] + c3)),
         (0, 1, c2 * (v[:-1] + v[1:])),
         (n, n + 1, 0.5 * c[:-1] * c[1:] * v[1:-1]),
         (n, 2, 0.5 * c[:-1] * c2[1:]),

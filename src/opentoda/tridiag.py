@@ -271,12 +271,18 @@ def power_bands(v, c, k):
     off-diagonal c: row k + d holds (L^k)[i, i + d] for d = -k..k, zero where
     i + d leaves the matrix.
 
-    Built by k left products with L, each touching only the 2k + 1 bands, so
-    the cost is O(n k^2) against k n^3 for dense powers.
+    Built from the bands of L by k - 1 left products with L, each touching
+    only the 2k + 1 bands, so the cost is O(n k^2) against k n^3 for dense
+    powers.
     """
     P = np.zeros((2 * k + 1, v.size))
-    P[k] = 1.0
-    for _ in range(k):
+    if k == 0:
+        P[0] = 1.0
+        return P
+    P[k - 1, 1:] = c
+    P[k] = v
+    P[k + 1, :-1] = c
+    for _ in range(k - 1):
         P = band_left_product(v, c, P)
     return P
 
