@@ -9,8 +9,8 @@ Flat state layouts:
 
 Every tensor is assembled by filling one orientation of each coordinate pair
 and antisymmetrizing, so antisymmetry is exact by construction. The c-v
-brackets pi_p couple neighbouring coordinates only; pi_cv_apply applies one
-to a vector in O(n) without forming its tensor.
+brackets pi_p couple coordinates at most two sites apart; pi_cv_apply applies
+one to a vector in O(n) without forming its tensor.
 """
 
 from dataclasses import dataclass, field
