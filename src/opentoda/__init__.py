@@ -18,7 +18,6 @@ from .errors import (
     MultiplePole,
     NonFiniteState,
     NonRealOrMultipleRoots,
-    NotASimplePole,
     NotInRatNPrime,
     OverflowGuard,
     PoleEvaluation,
@@ -35,7 +34,6 @@ from .ratfun import (
     poly_eval,
     poly_from_roots,
     poly_real_roots,
-    residue_at,
 )
 from .tridiag import (
     JacobiMatrix,
@@ -50,11 +48,9 @@ from .tridiag import (
 from .spectral import (
     SpectralData,
     direct_transform,
-    from_moments,
     gammas,
     inverse_transform,
     inverse_transform_stieltjes,
-    moments,
     numerator_poly,
     validate,
     weyl_eval,
@@ -93,7 +89,6 @@ from .flows import (
     hamiltonian,
     hamiltonian_field,
     hamiltonian_gradient,
-    lax_a,
     lax_rhs,
     rk4,
     spectral_field,

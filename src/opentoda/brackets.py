@@ -291,6 +291,8 @@ def pi_cv_indices(k):
 # contour bracket as residue sums
 
 def _check_points(S, p, q):
+    if not (np.isfinite(p) and np.isfinite(q)):
+        raise DomainViolation("p and q must be finite")
     if p == q:
         raise CoincidentPoints("p and q must be distinct")
     if np.any(S.z == p) or np.any(S.z == q):

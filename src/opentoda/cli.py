@@ -259,8 +259,15 @@ def cmd_evolve(args):
 def cmd_bracket(args):
     S = to_spectral(parse_envelope(load_envelope(args.input)))
     f = WeightFn.power(args.f)
-    terms = bracket_terms(S, args.p, args.q, f, restricted=args.restricted)
-    value = float(np.sum(terms))
+    # an overflow surfaces as the OverflowGuard below, not as numpy warnings
+    with np.errstate(all="ignore"):
+        terms = bracket_terms(S, args.p, args.q, f, restricted=args.restricted)
+        value = float(np.sum(terms))
+        cf = None
+        if args.f in (0, 1):
+            cf = float(closed_form_bracket(S, args.p, args.q, f, restricted=args.restricted))
+    if not np.all(np.isfinite([*terms, value, 0.0 if cf is None else cf])):
+        raise OverflowGuard("bracket is not finite in double precision")
     doc = {
         "f": f.label,
         "p": args.p,
@@ -270,12 +277,10 @@ def cmd_bracket(args):
         "pole_breakdown": [
             {"z": float(z), "residue_term": float(t)} for z, t in zip(S.z, terms)
         ],
-        "closed_form": None,
+        "closed_form": cf,
     }
-    if args.f in (0, 1):
-        cf = closed_form_bracket(S, args.p, args.q, f, restricted=args.restricted)
-        doc["closed_form"] = float(cf)
-        doc["closed_form_gap"] = abs(value - float(cf))
+    if cf is not None:
+        doc["closed_form_gap"] = abs(value - cf)
     dump_json(doc, sys.stdout)
     return 0
 

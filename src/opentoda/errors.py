@@ -18,10 +18,6 @@ class MultiplePole(TodaError):
     """Two poles of a rational function coincide within tolerance."""
 
 
-class NotASimplePole(TodaError):
-    """Residue requested at a point that is not a simple pole."""
-
-
 class ConvergenceFailure(TodaError):
     """An iterative kernel hit its iteration cap; the input is degenerate or invalid."""
 

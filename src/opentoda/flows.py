@@ -117,15 +117,6 @@ def hamiltonian(obj, n):
     return float(np.sum(z ** (n + 1))) / (n + 1)
 
 
-def lax_a(J, k):
-    """Skew generator A_k: half the strictly-upper minus strictly-lower part
-    of L^k."""
-    if k < 1:
-        raise DomainViolation("need k >= 1")
-    P = np.linalg.matrix_power(J.to_dense(), k)
-    return 0.5 * (np.triu(P, 1) - np.tril(P, -1))
-
-
 def _lax_rate(v, c, P):
     """Flat (vdot, cdot) of dL/dt = [A_k, L] on raw (v, c) arrays, from the
     band storage P = power_bands(v, c, k) of L^k.

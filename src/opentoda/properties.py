@@ -59,7 +59,7 @@ from .tridiag import JacobiMatrix, PhasePoint, flaschka, pq_polynomials, truncat
 # Largest residual each property of `toda verify` accepts, by property name.
 TOL = {
     "roundtrip_lanczos": 1e-10,
-    "roundtrip_stieltjes": 1e-8,
+    "roundtrip_stieltjes": 1e-10,
     "weyl_three_routes": 1e-8,
     "residue_mass": 1e-10,
     "jacobi_identity": 1e-6,

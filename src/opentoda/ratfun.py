@@ -3,8 +3,8 @@
 Polynomials are plain 1-D numpy arrays of coefficients in ascending degree
 order; numpy.polynomial.polynomial supplies evaluation, products and the
 companion-matrix root finder, with a Newton polish and validation layer on top.
-Rational functions are numerator/denominator pairs with a lazily computed
-pole-residue cache.
+Rational functions are numerator/denominator pairs; partial_fractions reads
+off their poles and residues.
 """
 
 import numpy as np
@@ -14,7 +14,6 @@ from .errors import (
     DomainViolation,
     MultiplePole,
     NonRealOrMultipleRoots,
-    NotASimplePole,
     PoleEvaluation,
 )
 
@@ -116,21 +115,19 @@ def poly_real_roots(P):
 class Rat:
     """Rational function num(z)/den(z).
 
-    Immutable after construction; the pole-residue pair is computed on first
-    use and cached. The stored residues follow the spectral-measure
-    orientation: rho_k = -Res_{z_k} R, so a Weyl function held as num = -q,
-    den = p hands back exactly its spectral weights.
+    Immutable after construction. Its residues follow the spectral-measure
+    orientation: partial_fractions gives rho_k = -Res_{z_k} R, so a Weyl
+    function held as num = -q, den = p hands back exactly its spectral
+    weights.
     """
 
-    __slots__ = ("num", "den", "_poles", "_rho")
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den):
         self.num = poly_trim(num)
         self.den = poly_trim(den)
         if poly_degree(self.den) == -1:
             raise DomainViolation("denominator is the zero polynomial")
-        self._poles = None
-        self._rho = None
 
     def __call__(self, x):
         dv = poly_eval(self.den, x)
@@ -141,11 +138,6 @@ class Rat:
     @property
     def degrees(self):
         return poly_degree(self.num), poly_degree(self.den)
-
-    def poles_residues(self):
-        if self._poles is None:
-            self._poles, self._rho = partial_fractions(self)
-        return self._poles, self._rho
 
     def __repr__(self):
         return f"Rat(num={self.num!r}, den={self.den!r})"
@@ -174,28 +166,3 @@ def partial_fractions(R):
     dden = poly_derivative(R.den)
     rho = -poly_eval(R.num, poles) / poly_eval(dden, poles)
     return poles, np.atleast_1d(rho)
-
-
-def residue_at(R, z0):
-    """Residue of R at the simple pole z0, or at infinity for z0 = inf.
-
-    The residue at infinity is minus the 1/z coefficient of the expansion at
-    infinity, extracted from a single polynomial long division rather than by
-    sampling. Raises NotASimplePole when z0 is not a pole of R or the pole is
-    not simple.
-    """
-    num, den = R.num, R.den
-    if np.isscalar(z0) and not isinstance(z0, complex) and np.isinf(z0):
-        quo, rem = npp.polydiv(num, den)
-        rem = poly_trim(rem)
-        nd = poly_degree(den)
-        if poly_degree(rem) < nd - 1:
-            return 0.0
-        return -rem[nd - 1] / den[nd]
-    dv = poly_eval(den, z0)
-    if abs(dv) > 1e-9 * (_eval_scale(den, z0) + abs(den[-1])):
-        raise NotASimplePole(f"{z0!r} is not a pole")
-    dp = poly_eval(poly_derivative(den), z0)
-    if abs(dp) <= 1e-9 * (_eval_scale(poly_derivative(den), z0) + abs(den[-1])):
-        raise NotASimplePole(f"{z0!r} is a multiple pole")
-    return poly_eval(num, z0) / dp

@@ -2,10 +2,10 @@
 
 The direct transform sends a Jacobi matrix to the pole-residue data (z, rho)
 of its Weyl function chi(z) = sum_k rho_k/(z_k - z); the inverse rebuilds the
-matrix by Lanczos tridiagonalization of diag(z) started from sqrt(rho). A
-continued-fraction peeling in pole-residue form is kept as an independent
-secondary route for small N, and a moment-based (Hankel) recovery supports the
-truncated-expansion cross-check. to_jacobi and to_spectral convert any state.
+matrix by Lanczos tridiagonalization of diag(z) started from sqrt(rho). An
+independent second inverse adds one node at a time and restores tridiagonal
+form by Givens rotations on the two bands (RKPW). to_jacobi and to_spectral
+convert any state.
 """
 
 import math
@@ -20,7 +20,6 @@ from .errors import (
     NonRealOrMultipleRoots,
     NotInRatNPrime,
     PoleEvaluation,
-    SingularMatrix,
 )
 from .ratfun import Rat, poly_from_roots, poly_real_roots
 from .tridiag import JacobiMatrix, PhasePoint, eigen, flaschka
@@ -128,14 +127,6 @@ def gammas(S):
     return g, q0
 
 
-def moments(S, count):
-    """Power moments s_p = sum_k z_k^p rho_k for p = 0..count-1."""
-    if count < 1:
-        raise DomainViolation("count must be >= 1")
-    powers = np.vander(S.z, count, increasing=True).T
-    return powers @ S.rho
-
-
 def validate(z, rho):
     """Membership report for raw arrays: {"ratN", "ratNprime", "interlaces"}.
 
@@ -224,55 +215,41 @@ def inverse_transform(S):
 
 
 def inverse_transform_stieltjes(S):
-    """Continued-fraction peeling executed in pole-residue form.
+    """The Jacobi matrix of S rebuilt from its nodes one at a time (RKPW).
 
-    Each stage reads off v_j = sum(rho z) and c_j^2 = sum(rho z^2) - v_j^2,
-    then passes to the next level whose poles are the current numerator roots
-    gamma_i with residues 1/(c_j^2 chi'(gamma_i)). Independent of the Lanczos
-    route; intended as a cross-check for N <= 5, where each stage's
-    root-finding stays well conditioned.
+    The coefficients of chi's Stieltjes J-fraction, found without Lanczos
+    vectors or polynomials: a border row of weights sqrt(rho) couples to a
+    tridiagonal matrix of the nodes added so far. Each new node (z_k,
+    sqrt(rho_k)) enters next to the border; Givens rotations restore
+    tridiagonal form by chasing the bulge down the two bands (Gragg &
+    Harrod, Numer. Math. 44, 1984). O(N^2) scalar Python work: a cross-check
+    for verify sizes, not a hot path.
     """
     _require_normalized(S)
     n = S.n
-    v = np.zeros(n)
-    c = np.zeros(n - 1)
-    cur = S
-    for j in range(n - 1):
-        v[j] = float(np.sum(cur.rho * cur.z))
-        csq = float(np.sum(cur.rho * cur.z ** 2)) - v[j] ** 2
-        if csq <= 0:
-            raise ConvergenceFailure("nonpositive variance during peeling")
-        c[j] = np.sqrt(csq)
-        g, _ = gammas(cur)
-        chi_prime = np.array([float(np.sum(cur.rho / (cur.z - gi) ** 2)) for gi in g])
-        cur = SpectralData(z=g, rho=1.0 / (csq * chi_prime))
-    v[n - 1] = float(np.sum(cur.rho * cur.z))
-    return JacobiMatrix(v=v, c=c)
-
-
-def from_moments(s, n):
-    """Recover (z, rho) from the first 2n power moments.
-
-    Solves the n x n Hankel system for the monic denominator, roots it, then
-    solves the Vandermonde system for the residues. Exponentially
-    ill-conditioned in n; intended for n <= 5.
-    """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if s.size < 2 * n:
-        raise DomainViolation(f"need at least {2 * n} moments")
-    H = np.empty((n, n))
-    for i in range(n):
-        H[i] = s[i : i + n]
-    try:
-        a = np.linalg.solve(H, -s[n : 2 * n])
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix("moment matrix singular") from exc
-    z = poly_real_roots(np.concatenate([a, [1.0]]))
-    if z.size != n:
-        raise NonRealOrMultipleRoots("denominator degree collapsed")
-    V = np.vander(z, n, increasing=True).T
-    try:
-        rho = np.linalg.solve(V, s[:n])
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix("Vandermonde system singular") from exc
-    return SpectralData(z=z, rho=rho)
+    w = np.sqrt(S.rho)
+    # with m nodes in, rows 1..m of the bordered matrix hold the diagonal
+    # d[1:m+1] and the coupling e[i] of rows i and i + 1, e[0] that of the
+    # border row 0; e[m:] is zero, so the chase ends at the last row
+    d = np.zeros(n + 1)
+    e = np.zeros(n + 1)
+    d[1], e[0] = S.z[0], w[0]
+    for m in range(1, n):
+        # the new node becomes row 1; the border couples to rows 1 and 2
+        d[2 : m + 2] = d[1 : m + 1]
+        e[2 : m + 1] = e[1:m]
+        d[1], e[1] = S.z[m], 0.0
+        bulge, e[0] = e[0], w[m]
+        for i in range(1, m + 1):
+            # rotate rows i, i + 1 to zero the entry (i - 1, i + 1)
+            r = math.hypot(e[i - 1], bulge)
+            cs, sn = e[i - 1] / r, bulge / r
+            e[i - 1] = r
+            a, b, f = d[i], d[i + 1], e[i]
+            d[i] = cs * cs * a + 2.0 * cs * sn * f + sn * sn * b
+            d[i + 1] = sn * sn * a - 2.0 * cs * sn * f + cs * cs * b
+            e[i] = cs * sn * (b - a) + (cs * cs - sn * sn) * f
+            bulge, e[i + 1] = sn * e[i + 1], cs * e[i + 1]
+            if bulge == 0.0:
+                break
+    return JacobiMatrix(v=d[1:], c=np.abs(e[1:n]))

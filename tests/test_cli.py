@@ -300,6 +300,22 @@ def test_bracket_coincident_points(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_bracket_non_finite_point_exit_2(tmp_path, capsys):
+    path = write_envelope(tmp_path, worked_spectral())
+    for point in ("nan", "inf"):
+        rc, out, err = run(["bracket", path, "--p", point, "--q", "3"], capsys)
+        assert rc == 2 and out == ""
+        assert "finite" in err
+
+
+def test_bracket_overflow_exit_3(tmp_path, capsys):
+    # z^200 at poles near +-100 overflows double precision
+    path = write_envelope(tmp_path, JacobiMatrix(v=np.array([100.0, -100.0]), c=np.array([1.0])))
+    rc, out, err = run(["bracket", path, "--p", "0.5", "--q", "0.25", "--f", "200"], capsys)
+    assert rc == 3 and out == ""
+    assert err.startswith("blow-up:")
+
+
 def test_demo(capsys):
     rc, out, _ = run(["demo"], capsys)
     assert rc == 0
@@ -483,9 +499,10 @@ def test_verify_reports_the_shared_tolerances(capsys, monkeypatch):
 
 
 def test_verify_all_passes_at_n8(capsys):
-    rc, out, err = run(["verify", "--suite", "all", "--n", "8"], capsys)
-    assert rc == 0, err
-    assert json.loads(out)["pass"] is True
+    for n, seed in (("8", "0"), ("14", "7")):
+        rc, out, err = run(["verify", "--suite", "all", "--n", n, "--seed", seed], capsys)
+        assert rc == 0, err
+        assert json.loads(out)["pass"] is True
 
 
 def test_benchmark_tracer_finds_its_targets():

@@ -23,7 +23,6 @@ from opentoda import (
     hamiltonian,
     hamiltonian_field,
     hamiltonian_gradient,
-    lax_a,
     lax_rhs,
     rk4,
     spectral_field,
@@ -55,12 +54,6 @@ def test_hamiltonian_polymorphic(worked):
     assert hamiltonian(worked, 0) == pytest.approx(0.0, abs=1e-14)
 
 
-def test_lax_a_worked(worked):
-    np.testing.assert_allclose(lax_a(worked, 1), [[0.0, 0.5], [-0.5, 0.0]])
-    A2 = lax_a(worked, 2)
-    np.testing.assert_allclose(A2, np.zeros((2, 2)), atol=1e-15)
-
-
 def test_lax_rhs_worked(worked):
     vdot, cdot = lax_rhs(worked, 1)
     np.testing.assert_allclose(vdot, [1.0, -1.0])
@@ -71,17 +64,6 @@ def test_lax_rhs_single_site():
     vdot, cdot = lax_rhs(JacobiMatrix(v=np.array([1.5]), c=np.zeros(0)), 1)
     np.testing.assert_allclose(vdot, [0.0])
     assert cdot.size == 0
-
-
-def test_lax_matches_dense_commutator(rng):
-    for k in (1, 2, 3):
-        J = random_jacobi(rng, 5)
-        L = J.to_dense()
-        A = lax_a(J, k)
-        C = A @ L - L @ A
-        vdot, cdot = lax_rhs(J, k)
-        np.testing.assert_allclose(vdot, np.diag(C), atol=1e-10 * max(1, np.max(np.abs(C))))
-        np.testing.assert_allclose(cdot, np.diag(C, 1), atol=1e-10 * max(1, np.max(np.abs(C))))
 
 
 def test_lax_rhs_matches_dense_oracle(rng):

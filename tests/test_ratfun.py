@@ -7,7 +7,6 @@ from opentoda import (
     DomainViolation,
     MultiplePole,
     NonRealOrMultipleRoots,
-    NotASimplePole,
     PoleEvaluation,
     Rat,
     partial_fractions,
@@ -15,7 +14,6 @@ from opentoda import (
     poly_eval,
     poly_from_roots,
     poly_real_roots,
-    residue_at,
 )
 
 
@@ -102,28 +100,3 @@ def test_partial_fractions_requirements():
         partial_fractions(Rat(np.array([0.0, 0.0, 1.0]), np.array([-1.0, 0.0, 1.0])))
     with pytest.raises(MultiplePole):
         partial_fractions(Rat(np.array([1.0]), np.array([1.0, -2.0, 1.0])))
-
-
-def test_residue_at_simple_pole():
-    R = Rat(np.array([0.0, -1.0]), np.array([-1.0, 0.0, 1.0]))
-    assert residue_at(R, 1.0) == pytest.approx(-0.5, abs=1e-14)
-    assert residue_at(R, -1.0) == pytest.approx(-0.5, abs=1e-14)
-    with pytest.raises(NotASimplePole):
-        residue_at(R, 0.5)
-    with pytest.raises(NotASimplePole):
-        residue_at(Rat(np.array([1.0]), np.array([1.0, -2.0, 1.0])), 1.0)
-
-
-def test_residue_at_infinity():
-    # -z/(z^2 - 1) ~ -1/z at infinity: residue there is +1
-    R = Rat(np.array([0.0, -1.0]), np.array([-1.0, 0.0, 1.0]))
-    assert residue_at(R, np.inf) == pytest.approx(1.0, abs=1e-14)
-    # 1/(z^2 - 1) decays faster; no 1/z term
-    assert residue_at(Rat(np.array([1.0]), np.array([-1.0, 0.0, 1.0])), np.inf) == 0.0
-
-
-def test_poles_residues_cached_on_rat():
-    R = Rat(np.array([0.0, -1.0]), np.array([-1.0, 0.0, 1.0]))
-    p1, r1 = R.poles_residues()
-    p2, r2 = R.poles_residues()
-    assert p1 is p2 and r1 is r2

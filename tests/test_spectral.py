@@ -12,11 +12,9 @@ from opentoda import (
     PoleEvaluation,
     SpectralData,
     direct_transform,
-    from_moments,
     gammas,
     inverse_transform,
     inverse_transform_stieltjes,
-    moments,
     numerator_poly,
     pq_polynomials,
     validate,
@@ -94,8 +92,11 @@ def test_lanczos_breakdown():
 
 
 def test_stieltjes_matches_lanczos(rng):
-    for n in (1, 2, 4, 6):
-        S = random_spectral(rng, n)
+    states = [random_spectral(rng, n) for n in (1, 2, 4, 6, 14, 48)]
+    # AC1's localized family, whose smallest residues reach 1e-30 and below
+    J = JacobiMatrix(v=rng.uniform(-1.0, 1.0, 64), c=rng.uniform(0.5, 1.5, 63))
+    states.append(direct_transform(J))
+    for S in states:
         J1 = inverse_transform(S)
         J2 = inverse_transform_stieltjes(S)
         np.testing.assert_allclose(J2.v, J1.v, atol=1e-8)
@@ -178,15 +179,6 @@ def test_gammas_single_pole():
     g, q0 = gammas(SpectralData(z=np.array([2.0]), rho=np.array([1.0])))
     assert g.size == 0
     assert q0 == 1.0
-
-
-def test_moments_and_recovery(rng):
-    S = random_spectral(rng, 3, min_gap=0.3)
-    s = moments(S, 6)
-    np.testing.assert_allclose(s, [np.sum(S.rho * S.z**m) for m in range(6)], rtol=1e-13)
-    back = from_moments(s, 3)
-    np.testing.assert_allclose(back.z, S.z, atol=1e-7)
-    np.testing.assert_allclose(back.rho, S.rho, atol=1e-7)
 
 
 def test_serialization_roundtrip(rng):
