@@ -52,7 +52,6 @@ from .spectral import (
     inverse_transform,
     inverse_transform_stieltjes,
     numerator_poly,
-    validate,
     weyl_eval,
     weyl_rat,
 )
@@ -95,18 +94,11 @@ from .flows import (
 )
 from .charts import (
     ChartMap,
-    ChartValues,
-    action_angle_chart,
     action_angle_map,
-    action_coords,
-    angle_coords,
-    gamma_pi_chart,
     gamma_pi_map,
-    iy_chart,
     iy_map,
     numerator_values,
     verify_canonical,
-    zq_chart,
     zq_map,
 )
 

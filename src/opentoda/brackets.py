@@ -47,35 +47,28 @@ def zrho_unpack(x, n):
 
 
 class WeightFn:
-    """The weight f(z) parametrizing a bracket family.
+    """The weight f(z) = z^n parametrizing a bracket family, n >= 0.
 
-    Either a nonnegative power of z or a user-supplied entire function; the
-    power forms carry closed-form antiderivatives F with F'(z) = 1/f(z),
+    Each power carries the closed-form antiderivative F with F'(z) = 1/f(z),
     used by the action coordinates and the constraint functions.
     """
 
-    __slots__ = ("kind", "power_n", "_fn", "_F")
+    __slots__ = ("power_n",)
 
-    def __init__(self, kind, power_n=None, fn=None, F=None):
-        self.kind = kind
-        self.power_n = power_n
-        self._fn = fn
-        self._F = F
+    def __init__(self, n):
+        # an integer only: int() would truncate 2.7 and read True as 1
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise DomainViolation(f"power must be an integer, not {n!r}")
+        if n < 0:
+            raise DomainViolation("power must be >= 0")
+        self.power_n = int(n)
 
     @classmethod
     def power(cls, n):
-        if n < 0:
-            raise DomainViolation("power must be >= 0")
-        return cls("power", power_n=int(n))
-
-    @classmethod
-    def custom(cls, fn, antiderivative=None):
-        return cls("custom", fn=fn, F=antiderivative)
+        return cls(n)
 
     def __call__(self, z):
-        if self.kind == "power":
-            return np.asarray(z) ** self.power_n if self.power_n else np.ones_like(np.asarray(z, dtype=float))
-        return self._fn(z)
+        return np.asarray(z) ** self.power_n if self.power_n else np.ones_like(np.asarray(z, dtype=float))
 
     def antiderivative(self, z):
         """F(z) with F' = 1/f.
@@ -84,10 +77,6 @@ class WeightFn:
         is a gauge with no effect on any bracket.
         """
         z = np.asarray(z, dtype=float)
-        if self.kind == "custom":
-            if self._F is None:
-                raise DomainViolation("custom weight has no antiderivative attached")
-            return self._F(z)
         n = self.power_n
         if n == 0:
             return z + 0.0
@@ -99,9 +88,7 @@ class WeightFn:
 
     @property
     def label(self):
-        if self.kind == "power":
-            return "1" if self.power_n == 0 else ("z" if self.power_n == 1 else f"z^{self.power_n}")
-        return "custom"
+        return "1" if self.power_n == 0 else ("z" if self.power_n == 1 else f"z^{self.power_n}")
 
     def __repr__(self):
         return f"WeightFn({self.label})"
@@ -336,7 +323,7 @@ def closed_form_bracket(S, p, q, f, restricted=False):
     (p chi(p) - q chi(q))(chi(p)-chi(q))/(p-q). The restricted forms replace
     the second factor by (chi(p)-chi(q))/(p-q) - chi(p)chi(q)/q0.
     """
-    if f.kind != "power" or f.power_n not in (0, 1):
+    if f.power_n not in (0, 1):
         raise DomainViolation("closed forms exist for f = 1 and f = z only")
     _check_points(S, p, q)
     chi_p = weyl_eval(S, p)

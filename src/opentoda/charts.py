@@ -10,24 +10,16 @@ comparing to the constant canonical pattern.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable
 
 import numpy as np
 
 from .brackets import pushforward, zrho_unpack
 from .errors import DomainViolation, SignViolation
-from .ratfun import poly_eval, poly_from_roots
 from .spectral import SpectralData, gammas
 
 __all__ = [
-    "ChartValues",
     "numerator_values",
-    "zq_chart",
-    "iy_chart",
-    "action_coords",
-    "angle_coords",
-    "action_angle_chart",
-    "gamma_pi_chart",
     "ChartMap",
     "zq_map",
     "iy_map",
@@ -37,19 +29,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChartValues:
-    """Named coordinate values of one chart at one state, with the Casimir
-    pair attached where the chart carries one."""
-
-    chart: str
-    names: Tuple[str, ...]
-    values: np.ndarray
-    casimirs: Optional[Tuple[float, float]] = None
-
-
 # ---------------------------------------------------------------------------
-# each chart's coordinates as a function of (z, rho), for the values and maps
+# each chart's coordinates as a function of (z, rho), for the maps
 
 def _numerator(z, rho):
     """q(z_k) = p'(z_k) rho_k with p'(z_k) the product of the gaps to the
@@ -72,6 +53,8 @@ def _iy(f, z, rho):
 
 
 def _angles(z, rho):
+    """theta_k = ln((-1)^k q(z_k)/q(z_0)) for k = 1..N-1; the argument is
+    positive exactly on the normalized interlacing class."""
     q = _numerator(z, rho)
     signs = (-1.0) ** np.arange(1, z.size)
     arg = signs * q[1:] / q[0]
@@ -86,10 +69,13 @@ def _action_angle(f, z, rho):
 
 def _gamma_pi(z, rho):
     """(gamma, pi, Phi1, Phi2) with pi_k = -ln((-1)^{N+k} p(gamma_k)), which
-    interlacing keeps real, and (Phi1, Phi2) = (sum z_k, -ln sum rho)."""
+    interlacing keeps real, and (Phi1, Phi2) = (sum z_k, -ln sum rho).
+
+    p(gamma_k) is the product of the gaps gamma_k - z_j, which keeps its
+    relative accuracy where the expanded coefficients of p do not."""
     n = z.size
     g, q0 = gammas(SpectralData(z=z, rho=rho))
-    b = ((-1.0) ** (n + 1 + np.arange(n - 1))) * poly_eval(poly_from_roots(z), g)
+    b = ((-1.0) ** (n + 1 + np.arange(n - 1))) * np.prod(g[:, None] - z, axis=1)
     if np.any(b <= 0):
         raise SignViolation("(-1)^{N+k} p(gamma_k) not positive")
     return np.concatenate([g, -np.log(b), [float(np.sum(z)), -np.log(q0)]])
@@ -98,52 +84,6 @@ def _gamma_pi(z, rho):
 def numerator_values(S):
     """q(z_k) = p'(z_k) rho_k; alternates in sign when all rho > 0."""
     return _numerator(S.z, S.rho)
-
-
-def zq_chart(S):
-    n = S.n
-    names = tuple(f"z{k}" for k in range(n)) + tuple(f"q(z{k})" for k in range(n))
-    return ChartValues(chart="ZQ", names=names, values=_zq(S.z, S.rho))
-
-
-def action_coords(S, f):
-    """I_k = F(z_k); domain errors surface for weights whose F needs z > 0."""
-    return f.antiderivative(S.z)
-
-
-def iy_chart(S, f):
-    n = S.n
-    names = tuple(f"I{k}" for k in range(n)) + tuple(f"y{k}" for k in range(n))
-    return ChartValues(chart="IY", names=names, values=_iy(f, S.z, S.rho))
-
-
-def angle_coords(S):
-    """theta_k = ln((-1)^k q(z_k)/q(z_0)) for k = 1..N-1; the argument is
-    positive exactly on the normalized interlacing class."""
-    return _angles(S.z, S.rho)
-
-
-def action_angle_chart(S, f):
-    values = _action_angle(f, S.z, S.rho)
-    n = S.n
-    names = tuple(f"I{k}" for k in range(n)) + tuple(f"theta{k}" for k in range(1, n))
-    q0 = float(np.sum(S.rho))
-    casimirs = (float(np.sum(values[:n])), -float(np.log(q0)))
-    return ChartValues(chart="ACTION_ANGLE", names=names, values=values, casimirs=casimirs)
-
-
-def gamma_pi_chart(S):
-    """(gamma_k, pi_k) from the numerator roots, plus the Casimir pair
-    (sum z_k, -ln sum rho)."""
-    values = _gamma_pi(S.z, S.rho)
-    n = S.n
-    names = (
-        tuple(f"gamma{k}" for k in range(1, n))
-        + tuple(f"pi{k}" for k in range(1, n))
-        + ("Phi1", "Phi2")
-    )
-    casimirs = tuple(map(float, values[-2:]))
-    return ChartValues(chart="GAMMA_PI", names=names, values=values, casimirs=casimirs)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from .errors import (
     TodaError,
 )
 from .spectral import SpectralData, _require_normalized, to_jacobi, to_spectral
-from .tridiag import JacobiMatrix, PhasePoint, _eigenvalues, band_left_product, power_bands
+from .tridiag import JacobiMatrix, _eigenvalues, band_left_product, power_bands
 
 _METHODS = ("exact", "rk4-lax", "rk4-hamiltonian")
 
@@ -264,10 +264,13 @@ def _exact_rho(z, rho, k, ts):
 def exact_flow(S, k, t):
     """Closed-form X_k flow: rho_n(t) = rho_n e^{z_n^k t} / sum_s rho_s e^{z_s^k t}.
 
-    OverflowGuard fires only when z^k t itself is not representable.
+    OverflowGuard fires only when z^k t itself is not representable; a t
+    that is not finite raises DomainViolation.
     """
     if k < 1:
         raise DomainViolation("need k >= 1")
+    if not np.isfinite(t):
+        raise DomainViolation("t must be finite")
     _require_normalized(S)
     rho = _exact_rho(S.z, S.rho, k, np.array([t], dtype=float))[0]
     return SpectralData(z=S.z.copy(), rho=rho)
@@ -275,25 +278,6 @@ def exact_flow(S, k, t):
 
 # ---------------------------------------------------------------------------
 # trajectories
-
-def state_field_names(kind, n):
-    if kind == "jacobi":
-        return [f"v{i}" for i in range(n)] + [f"c{i}" for i in range(n - 1)]
-    if kind == "spectral":
-        return [f"z{i}" for i in range(n)] + [f"rho{i}" for i in range(n)]
-    if kind == "phase":
-        return [f"q{i}" for i in range(n)] + [f"p{i}" for i in range(n)]
-    return [f"x{i}" for i in range(n)]
-
-
-def _spectral_view(kind, n, row):
-    """Eigenvalues of a jacobi or phase row by tridiag._eigenvalues, one row
-    at a time so memory stays flat; a row that is no Jacobi matrix raises
-    DomainViolation, a solver failure ConvergenceFailure."""
-    if kind == "jacobi":
-        return _eigenvalues(JacobiMatrix(v=row[:n], c=row[n:]))
-    return _eigenvalues(to_jacobi(PhasePoint(q=row[:n], p=row[n:])))
-
 
 def frozen_columns(a):
     """Number of leading columns of the 2-D float64 array a whose every row
@@ -321,12 +305,13 @@ class Trajectory:
     the first sample: spectrum_drift is the largest eigenvalue excursion and
     sum_rho_drift is |sum rho (t) - sum rho (0)|.
 
-    Spectral rows carry their eigenvalues and residues. For jacobi and phase
-    rows the eigenvalues come from tridiag._eigenvalues, and sum_rho_drift
-    is 0: the residues are the squares of the first row of an orthonormal
-    eigenvector matrix, which sum to |e_0|^2 = 1. Rows whose diagnostics
-    cannot be evaluated (blown-up states) carry NaN in both; raw rows carry
-    0 in both.
+    Spectral rows carry their eigenvalues and residues. For jacobi rows the
+    eigenvalues come from tridiag._eigenvalues, one row at a time so memory
+    stays flat, and sum_rho_drift is 0: the residues are the squares of the
+    first row of an orthonormal eigenvector matrix, which sum to
+    |e_0|^2 = 1. Rows whose diagnostics cannot be evaluated (blown-up
+    states) carry NaN in both; raw rows carry 0 in both. Any other kind
+    raises DomainViolation.
     """
 
     kind: str
@@ -338,6 +323,8 @@ class Trajectory:
 
     @classmethod
     def build(cls, kind, n, times, states):
+        if kind not in ("spectral", "jacobi", "raw"):
+            raise DomainViolation(f"unknown trajectory kind {kind!r}")
         times = np.asarray(times, dtype=float)
         states = np.asarray(states, dtype=float)
         m = times.size
@@ -348,11 +335,11 @@ class Trajectory:
             sr = np.abs(mass - mass[0])
             dz = states[:, :n] - states[0, :n]
             sd = np.abs(dz, out=dz).max(axis=1)
-        elif kind != "raw":
+        elif kind == "jacobi":
             z0 = None
             for i in range(m):
                 try:
-                    z = _spectral_view(kind, n, states[i])
+                    z = _eigenvalues(JacobiMatrix(v=states[i, :n], c=states[i, n:]))
                 except TodaError:
                     sr[i] = sd[i] = np.nan
                     continue
@@ -366,7 +353,12 @@ class Trajectory:
 
     @property
     def field_names(self):
-        return state_field_names(self.kind, self.n if self.kind != "raw" else self.states.shape[1])
+        n = self.n
+        if self.kind == "jacobi":
+            return [f"v{i}" for i in range(n)] + [f"c{i}" for i in range(n - 1)]
+        if self.kind == "spectral":
+            return [f"z{i}" for i in range(n)] + [f"rho{i}" for i in range(n)]
+        return [f"x{i}" for i in range(self.states.shape[1])]
 
     def to_csv(self, stream):
         """One header line, then one line per sample with every number

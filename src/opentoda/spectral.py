@@ -17,7 +17,6 @@ from .errors import (
     CoincidentPoles,
     ConvergenceFailure,
     DomainViolation,
-    NonRealOrMultipleRoots,
     NotInRatNPrime,
     PoleEvaluation,
 )
@@ -31,7 +30,7 @@ class SpectralData:
     vanishing at infinity.
 
     Membership in the normalized class (rho > 0, sum rho = 1) is not enforced
-    here; `validate` reports it and the inverse transform requires it.
+    here; the inverse transform requires it.
     """
 
     z: np.ndarray
@@ -55,10 +54,6 @@ class SpectralData:
 
     def as_dict(self):
         return {"z": self.z.tolist(), "rho": self.rho.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(z=np.asarray(d["z"], dtype=float), rho=np.asarray(d["rho"], dtype=float))
 
 
 def direct_transform(J):
@@ -125,33 +120,6 @@ def gammas(S):
         return np.zeros(0), q0
     g = poly_real_roots(numerator_poly(S))
     return g, q0
-
-
-def validate(z, rho):
-    """Membership report for raw arrays: {"ratN", "ratNprime", "interlaces"}.
-
-    Unlike the SpectralData constructor this never raises on bad data; it
-    reports instead.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    rat_n = (
-        z.size >= 1
-        and z.size == rho.size
-        and bool(np.all(np.isfinite(z)) and np.all(np.isfinite(rho)))
-        and (z.size == 1 or bool(np.all(np.diff(z) > 0)))
-        and bool(np.all(rho != 0))
-    )
-    rat_np = rat_n and _normalized(rho)
-    inter = False
-    if rat_n and bool(np.all(rho > 0)):
-        # one pole has no gammas, and interlaces vacuously
-        try:
-            g, _ = gammas(SpectralData(z=z, rho=rho))
-            inter = bool(np.all(z[:-1] < g) and np.all(g < z[1:]))
-        except NonRealOrMultipleRoots:
-            pass
-    return {"ratN": rat_n, "ratNprime": rat_np, "interlaces": inter}
 
 
 def _normalized(rho):

@@ -50,10 +50,6 @@ class PhasePoint:
     def as_dict(self):
         return {"q": self.q.tolist(), "p": self.p.tolist()}
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(q=np.asarray(d["q"], dtype=float), p=np.asarray(d["p"], dtype=float))
-
 
 @dataclass(frozen=True)
 class JacobiMatrix:
@@ -69,13 +65,13 @@ class JacobiMatrix:
 
     def __post_init__(self):
         v = _as_finite_1d(self.v, "v")
-        c = np.asarray(self.c, dtype=float).reshape(-1).copy()
+        c = _as_finite_1d(self.c, "c")
         if v.size < 1:
             raise DomainViolation("need at least one site")
         if c.size != v.size - 1:
             raise DomainViolation("off-diagonal must have length N - 1")
-        if c.size and (not np.all(np.isfinite(c)) or np.any(c <= 0)):
-            raise DomainViolation("off-diagonal entries must be finite and > 0")
+        if np.any(c <= 0):
+            raise DomainViolation("off-diagonal entries must be > 0")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "c", c)
 
@@ -98,10 +94,6 @@ class JacobiMatrix:
 
     def as_dict(self):
         return {"v": self.v.tolist(), "c": self.c.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(v=np.asarray(d["v"], dtype=float), c=np.asarray(d["c"], dtype=float))
 
 
 def flaschka(pt):

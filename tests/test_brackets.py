@@ -68,6 +68,11 @@ def test_weight_power_eval_and_label():
     np.testing.assert_allclose(Z2(np.array([-3.0, 2.0])), [9.0, 4.0])
     with pytest.raises(DomainViolation):
         WeightFn.power(-1)
+    # only integers: 1.5, 2.7 and True are not silently z, z^2 and z
+    for n in (1.5, 2.7, 2.0, True, np.bool_(True), "2"):
+        with pytest.raises(DomainViolation):
+            WeightFn.power(n)
+    assert WeightFn.power(np.int64(2)).label == "z^2"
 
 
 def test_weight_antiderivative_values():
@@ -77,15 +82,6 @@ def test_weight_antiderivative_values():
     np.testing.assert_allclose(Z2.antiderivative(np.array([1.0, 2.0])), [-1.0, -0.5])
     with pytest.raises(DomainViolation):
         Z.antiderivative(np.array([-1.0, 1.0]))
-
-
-def test_weight_custom():
-    f = WeightFn.custom(lambda z: np.exp(z))
-    assert f(0.0) == 1.0
-    with pytest.raises(DomainViolation):
-        f.antiderivative(1.0)
-    g = WeightFn.custom(lambda z: np.exp(z), antiderivative=lambda z: -np.exp(-z))
-    assert g.antiderivative(0.0) == -1.0
 
 
 # ---------------------------------------------------------------------------

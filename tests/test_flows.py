@@ -207,10 +207,18 @@ def test_exact_flow_zero_time(rng):
     np.testing.assert_array_equal(St.rho, S.rho)
 
 
-def test_exact_flow_overflow_guard():
+def test_exact_flow_non_finite_time():
+    # an input error, not a blow-up
     S = SpectralData(z=np.array([-1.0, 1.0]), rho=np.array([0.5, 0.5]))
+    for t in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainViolation):
+            exact_flow(S, 1, t)
+
+
+def test_exact_flow_overflow_guard():
+    S = SpectralData(z=np.array([-2.0, 2.0]), rho=np.array([0.5, 0.5]))
     with pytest.raises(OverflowGuard):
-        exact_flow(S, 1, np.inf)
+        exact_flow(S, 1, 1e308)
     Sbig = SpectralData(z=np.array([-1e103, 1e103]), rho=np.array([0.5, 0.5]))
     with pytest.raises(OverflowGuard):
         exact_flow(Sbig, 3, 1.0)
@@ -374,30 +382,30 @@ def _jacobi_rows(rng, n, count):
 def test_trajectory_diagnostics_match_direct_transform(rng):
     for n in (1, 5, 48):
         Js, rows = _jacobi_rows(rng, n, 4)
-        phase = np.array([np.concatenate([P.q, P.p]) for P in map(unflaschka, Js)])
         spectra = [direct_transform(J) for J in Js]
-        for kind, states in (("jacobi", rows), ("phase", phase)):
-            traj = Trajectory.build(kind, n, np.arange(4.0), states)
-            for i, S in enumerate(spectra):
-                z = flows._spectral_view(kind, n, states[i])
-                scale = 1.0 + np.max(np.abs(S.z))
-                assert np.max(np.abs(z - S.z)) <= 1e-12 * scale
-                want = np.max(np.abs(S.z - spectra[0].z))
-                assert abs(traj.spectrum_drift[i] - want) <= 1e-12 * scale
-            # the residues of an orthonormal eigenbasis sum to |e_0|^2 = 1
-            np.testing.assert_array_equal(traj.sum_rho_drift, 0.0)
+        traj = Trajectory.build("jacobi", n, np.arange(4.0), rows)
+        for i, S in enumerate(spectra):
+            scale = 1.0 + np.max(np.abs(S.z))
+            want = np.max(np.abs(S.z - spectra[0].z))
+            assert abs(traj.spectrum_drift[i] - want) <= 1e-12 * scale
+        # the residues of an orthonormal eigenbasis sum to |e_0|^2 = 1
+        np.testing.assert_array_equal(traj.sum_rho_drift, 0.0)
+
+
+def test_trajectory_build_refuses_unknown_kinds():
+    # phase rows are never recorded; an unknown kind is not read as one
+    for kind in ("phase", "cv", None):
+        with pytest.raises(DomainViolation):
+            Trajectory.build(kind, 1, [0.0], [[2.0]])
 
 
 def test_trajectory_undiagnosable_rows_are_nan(rng, monkeypatch):
-    Js, rows = _jacobi_rows(rng, 4, 3)
+    _, rows = _jacobi_rows(rng, 4, 3)
     rows[1, 4] = -1.0  # c_0 <= 0 is not a Jacobi matrix
-    phase = np.array([np.concatenate([P.q, P.p]) for P in map(unflaschka, Js)])
-    phase[1, 0] = -1e4  # c_0 = exp((q_0 - q_1)/2) underflows to 0
-    for kind, states in (("jacobi", rows), ("phase", phase)):
-        traj = Trajectory.build(kind, 4, np.arange(3.0), states)
-        assert np.isnan(traj.sum_rho_drift[1]) and np.isnan(traj.spectrum_drift[1])
-        np.testing.assert_array_equal(traj.sum_rho_drift[[0, 2]], 0.0)
-        assert np.all(np.isfinite(traj.spectrum_drift[[0, 2]]))
+    traj = Trajectory.build("jacobi", 4, np.arange(3.0), rows)
+    assert np.isnan(traj.sum_rho_drift[1]) and np.isnan(traj.spectrum_drift[1])
+    np.testing.assert_array_equal(traj.sum_rho_drift[[0, 2]], 0.0)
+    assert np.all(np.isfinite(traj.spectrum_drift[[0, 2]]))
 
     def no_convergence(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

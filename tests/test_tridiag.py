@@ -34,6 +34,10 @@ def test_jacobi_matrix_validation():
         JacobiMatrix(v=np.array([0.0, np.nan]), c=np.array([1.0]))
     with pytest.raises(DomainViolation):
         JacobiMatrix(v=np.zeros(3), c=np.array([1.0]))
+    # a two-dimensional c is refused, not flattened
+    for c in ([[1.0, 1.0]], [[1.0], [1.0]]):
+        with pytest.raises(DomainViolation):
+            JacobiMatrix(v=[1.0, 2.0, 3.0], c=c)
 
 
 def test_c_closure_inverse_product():

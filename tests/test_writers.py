@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from opentoda import FlowSpec, JacobiMatrix, Trajectory, cli, evolve, unflaschka
+from opentoda import FlowSpec, JacobiMatrix, Trajectory, cli, evolve
 from opentoda.cli import _JSON_SLICE, dump_json, main, make_envelope
 from opentoda.flows import frozen_columns
 
@@ -28,14 +28,12 @@ def _trajectories(rng):
     odd[5, 4] = 1.7976931348623157e308
     J = random_jacobi(rng, 3)
     lax = evolve(J, FlowSpec(k=2, method="rk4-lax", t_final=0.05, dt=0.01))
-    phase = np.array([np.concatenate([P.q, P.p]) for P in map(unflaschka, [J, J])])
     return [
         exact,
         Trajectory.build("spectral", 3, exact.times, odd),
         Trajectory.build("spectral", 1, [0.0, 1.0], [[0.5, 1.0], [0.5, 1.0]]),
         Trajectory.build("raw", 2, [0.0, 0.1], [[1.0, -2.0], [np.nan, np.inf]]),
         lax,
-        Trajectory.build("phase", 3, [0.0, 1.0], phase),
         Trajectory.build("jacobi", 1, [0.0], [[2.0]]),
     ]
 
