@@ -35,6 +35,7 @@ from .flows import (
     hamiltonian_field,
     lax_rhs,
 )
+from .floattext import write_rows
 from .properties import (
     TOL,
     WORKED_TOL,
@@ -144,13 +145,14 @@ def dump_json(doc, stream):
     slices of _JSON_SLICE items, and each piece is written to the stream as
     it is made, so no long list or document is ever held as one string.
 
-    A numpy array is written as its nested list (`a.tolist()`): a 1-D array
-    as a flat list, converted one slice at a time, and a higher one row by
-    row, so no large array is ever held as Python objects. Of a non-empty
-    2-D float64 array, the leading columns that flows.frozen_columns finds
-    bit-identical in every row (the frozen eigenvalues of an exact flow) are
-    encoded once, and that text is written into every row before the row's
-    other items.
+    A numpy array is written as its nested list `a.tolist()` would be. A
+    non-empty 1-D or 2-D float64 array goes to floattext.write_rows, which
+    prints its numbers as json does, a block at a time. Of a 2-D one, the
+    leading columns that flows.frozen_columns finds bit-identical in every
+    row (the frozen eigenvalues of an exact flow) are encoded once, and that
+    text opens every row; the last column is always printed per row. Other
+    arrays are written row by row through json's encoder, so no large array
+    is ever held as Python objects.
     """
     encoders = {}
     containers = itertools.repeat((dict, list, tuple, np.ndarray))
@@ -165,10 +167,10 @@ def dump_json(doc, stream):
     def write(value, pad):
         inner = pad + " "
         if isinstance(value, np.ndarray):
-            if value.ndim == 1 and len(value):
+            if value.ndim in (1, 2) and value.dtype == np.float64 and value.size:
+                write_floats(value, pad)
+            elif value.ndim == 1 and len(value):
                 write_flat(value, pad, np.ndarray.tolist)
-            elif value.ndim == 2 and value.dtype == np.float64 and value.size:
-                write_rows(value, pad)
             else:
                 # a 0-d or empty array is a leaf; rows of a higher one are
                 # written one by one
@@ -195,28 +197,31 @@ def dump_json(doc, stream):
         else:
             stream.write(leaf(value, inner))
 
-    def write_flat(value, pad, as_list, head=""):
-        # as_list turns a slice of value into a list for json's encoder; head
-        # is the encoded text of items that come before value's in the list
+    def write_flat(value, pad, as_list):
+        # as_list turns a slice of value into a list for json's encoder
         inner = pad + " "
-        stream.write("[\n" + inner + head)
-        sep = ",\n" + inner if head else ""
+        stream.write("[\n" + inner)
+        sep = ""
         for i in range(0, len(value), _JSON_SLICE):
             stream.write(sep + leaf(as_list(value[i : i + _JSON_SLICE]), inner)[1:-1])
             sep = ",\n" + inner
         stream.write("\n" + pad + "]")
 
-    def write_rows(value, pad):
-        # the k leading columns repeat in every row, so are encoded once
+    def write_floats(value, pad):
         inner = pad + " "
-        k = frozen_columns(value)
-        head = leaf(value[0, :k].tolist(), inner + " ")[1:-1]
-        sep = "[\n" + inner
-        for row in value[:, k:]:
-            stream.write(sep)
-            write_flat(row, inner, np.ndarray.tolist, head)
-            sep = ",\n" + inner
-        stream.write("\n" + pad + "]")
+        stream.write("[\n" + inner)
+        if value.ndim == 1:
+            write_rows(stream, [value], [",\n" + inner], "json", end="\n" + pad + "]")
+            return
+        # the k leading columns repeat in every row, so are encoded once
+        item = ",\n" + inner + " "
+        k = min(frozen_columns(value), value.shape[1] - 1)
+        head = leaf(value[0, :k].tolist(), inner + " ")[1:-1] + item if k else ""
+        close = "\n" + inner + "]"
+        write_rows(
+            stream, [value[:, k:]], [item] * (value.shape[1] - k - 1) + [close + ",\n" + inner],
+            "json", lead="[" + item[1:] + head, end=close + "\n" + pad + "]",
+        )
 
     write(doc, "")
     stream.write("\n")

@@ -23,6 +23,7 @@ from .errors import (
     StructureViolation,
     TodaError,
 )
+from .floattext import write_rows
 from .spectral import SpectralData, _require_normalized, to_jacobi, to_spectral
 from .tridiag import JacobiMatrix, _eigenvalues, band_left_product, power_bands
 
@@ -299,6 +300,11 @@ def frozen_columns(a):
     return a.shape[1]
 
 
+def _check_kind(kind):
+    if kind not in ("spectral", "jacobi", "raw"):
+        raise DomainViolation(f"unknown trajectory kind {kind!r}")
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled flow with per-sample conservation diagnostics, both against
@@ -323,8 +329,7 @@ class Trajectory:
 
     @classmethod
     def build(cls, kind, n, times, states):
-        if kind not in ("spectral", "jacobi", "raw"):
-            raise DomainViolation(f"unknown trajectory kind {kind!r}")
+        _check_kind(kind)
         times = np.asarray(times, dtype=float)
         states = np.asarray(states, dtype=float)
         m = times.size
@@ -333,8 +338,9 @@ class Trajectory:
         if kind == "spectral" and m:
             mass = states[:, n:].sum(axis=1)
             sr = np.abs(mass - mass[0])
-            dz = states[:, :n] - states[0, :n]
-            sd = np.abs(dz, out=dz).max(axis=1)
+            # a running maximum over the columns makes no rows x n temporary
+            for z in states[:, :n].T:
+                np.maximum(sd, np.abs(z - z[0]), out=sd)
         elif kind == "jacobi":
             z0 = None
             for i in range(m):
@@ -362,22 +368,20 @@ class Trajectory:
 
     def to_csv(self, stream):
         """One header line, then one line per sample with every number
-        printed to 17 significant digits, which round-trips the doubles.
+        printed as '%.17g' prints it (17 significant digits, which
+        round-trips the doubles), by floattext.write_rows.
 
         The leading state columns that frozen_columns finds bit-identical in
         every row (the frozen eigenvalues of an exact flow) are printed once
-        into the line format; each line prints only the other numbers.
+        into a separator that every line repeats.
         """
         names = ["t", *self.field_names, "sum_rho_drift", "spectrum_drift"]
         stream.write(",".join(names) + "\n")
         k = frozen_columns(self.states)
-        frozen = ["%.17g" % x for x in self.states[:1, :k].ravel().tolist()]
-        fmt = ",".join(["%.17g", *frozen] + ["%.17g"] * (len(names) - 1 - k)) + "\n"
-        times = self.times.tolist()
-        sr = self.sum_rho_drift.tolist()
-        sd = self.spectrum_drift.tolist()
-        for i, row in enumerate(self.states[:, k:]):
-            stream.write(fmt % (times[i], *row.tolist(), sr[i], sd[i]))
+        frozen = "".join("%.17g," % x for x in self.states[:1, :k].ravel().tolist())
+        free = self.states[:, k:]
+        seps = ["," + frozen] + [","] * (free.shape[1] + 1) + ["\n"]
+        write_rows(stream, [self.times, free, self.sum_rho_drift, self.spectrum_drift], seps, "csv")
 
     def to_payload(self):
         """The trajectory as a document; its arrays stay numpy arrays, which
@@ -403,8 +407,11 @@ def rk4(field, state, dt, t_final, kind="raw", n=None, record_every=1):
     Steps, recorded rows and their times come from _time_grid, as for the
     exact flow: uniform steps of dt with the last one shortened to end on
     t_final, and every record_every-th step recorded plus both endpoints.
-    Raises NonFiniteState as soon as a step leaves the finite floats.
+    A kind that Trajectory.build refuses raises DomainViolation before the
+    first step, and NonFiniteState is raised as soon as a step leaves the
+    finite floats.
     """
+    _check_kind(kind)
     x = np.array(state, dtype=float)
     nsteps, steps, times = _time_grid(t_final, dt, record_every, x.size)
     if n is None:

@@ -317,6 +317,18 @@ def test_rk4_validation(worked):
                 evolve(worked, FlowSpec(k=1, method=method, t_final=0.2, dt=0.1), record_every=every)
 
 
+def test_rk4_refuses_a_kind_before_the_first_step():
+    calls = []
+
+    def field(x):
+        calls.append(1)
+        return -x
+
+    with pytest.raises(DomainViolation):
+        rk4(field, np.ones(4), 1e-5, 2.0, kind="phase", n=2)
+    assert not calls
+
+
 def test_evolve_exact_matches_direct_call(worked):
     traj = evolve(worked, FlowSpec(k=1, method="exact", t_final=np.log(2.0), dt=np.log(2.0) / 4))
     assert traj.kind == "spectral"
@@ -526,5 +538,6 @@ def test_spectral_diagnostics_match_row_loop(rng):
         for rows in (states, states[2:], states[:1]):
             traj = Trajectory.build("spectral", n, np.arange(len(rows)), rows)
             sr, sd = spectral_drifts(n, rows)
-            np.testing.assert_array_equal(traj.sum_rho_drift, sr)
-            np.testing.assert_array_equal(traj.spectrum_drift, sd)
+            # bit for bit, NaNs included
+            np.testing.assert_array_equal(traj.sum_rho_drift.view(np.uint64), sr.view(np.uint64))
+            np.testing.assert_array_equal(traj.spectrum_drift.view(np.uint64), sd.view(np.uint64))

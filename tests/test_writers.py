@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from opentoda import FlowSpec, JacobiMatrix, Trajectory, cli, evolve
+from opentoda import FlowSpec, JacobiMatrix, Trajectory, cli, evolve, floattext
 from opentoda.cli import _JSON_SLICE, dump_json, main, make_envelope
 from opentoda.flows import frozen_columns
 
@@ -146,6 +146,35 @@ def test_exact_trajectory_writers_match_oracles(rng, n):
     assert _text(traj.to_csv) == _text(oracles.trajectory_csv, traj)
     doc = traj.to_payload()
     assert _text(dump_json, doc) == _text(oracles.dump_json, doc)
+
+
+def test_writers_match_oracles_across_blocks(rng):
+    n = 48
+    S = random_spectral(rng, n, min_gap=0.0)
+    exact = evolve(S, FlowSpec(k=1, method="exact", t_final=0.25, dt=1e-3))
+    # CSV rows hold n + 3 printed numbers and json rows n (the eigenvalues
+    # are frozen): both writers cut several blocks and a remainder
+    for width in (n + 3, n):
+        step = floattext.BLOCK // width
+        assert exact.times.size > 2 * step and exact.times.size % step
+    rows = 10**4
+    assert rows > 2 * floattext.BLOCK and rows % floattext.BLOCK
+    raw = Trajectory.build("raw", 3, np.arange(rows) / 7.0, rng.normal(size=(rows, 3)))
+    # undiagnosable jacobi rows carry NaN drifts
+    J = random_jacobi(rng, 4)
+    states = np.tile(np.concatenate([J.v, J.c]), (5, 1)) + rng.normal(scale=1e-3, size=(5, 7))
+    states[1, 4] = -1.0
+    states[3, 0] = np.nan
+    jacobi = Trajectory.build("jacobi", 4, np.arange(5) * 0.1, states)
+    assert np.isnan(jacobi.spectrum_drift[[1, 3]]).all()
+    # rows wider than a block go in pieces of BLOCK columns
+    wide = rng.normal(size=(3, 2 * floattext.BLOCK + 100))
+    wide[:, :5] = wide[0, :5]
+    wide = Trajectory.build("raw", wide.shape[1], [0.0, 0.5, 1.0], wide)
+    for traj in (exact, raw, jacobi, wide):
+        assert _text(traj.to_csv) == _text(oracles.trajectory_csv, traj)
+        doc = traj.to_payload()
+        assert _text(dump_json, doc) == _text(oracles.dump_json, doc)
 
 
 def _envelopes(tmp_path, rng):
