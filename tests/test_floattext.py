@@ -1,5 +1,5 @@
-"""floattext.write_rows prints every double as '%.17g' (style "csv") and as
-json's encoder (style "json") print it, byte for byte."""
+"""floattext.write_rows prints every double as '%.17g' prints it (style
+"csv") and as json's encoder prints it (style "json"), byte for byte."""
 
 import io
 import json
