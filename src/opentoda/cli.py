@@ -29,7 +29,9 @@ from .errors import ConvergenceFailure, NonFiniteState, OverflowGuard, TodaError
 from .flows import (
     _METHODS,
     FlowSpec,
+    RowBlocks,
     evolve,
+    evolve_streamed,
     exact_flow,
     frozen_columns,
     hamiltonian_field,
@@ -150,7 +152,9 @@ def dump_json(doc, stream):
     prints its numbers as json does, a block at a time. Of a 2-D one, the
     leading columns that flows.frozen_columns finds bit-identical in every
     row (the frozen eigenvalues of an exact flow) are encoded once, and that
-    text opens every row; the last column is always printed per row. Other
+    text opens every row; the last column is always printed per row. A
+    flows.RowBlocks is written as the nested list of its rows in the same
+    way, its head encoded once and its blocks written as they come. Other
     arrays are written row by row through json's encoder, so no large array
     is ever held as Python objects.
     """
@@ -166,9 +170,16 @@ def dump_json(doc, stream):
 
     def write(value, pad):
         inner = pad + " "
-        if isinstance(value, np.ndarray):
-            if value.ndim in (1, 2) and value.dtype == np.float64 and value.size:
-                write_floats(value, pad)
+        if isinstance(value, RowBlocks):
+            write_matrix(value, pad)
+        elif isinstance(value, np.ndarray):
+            if value.ndim == 1 and value.dtype == np.float64 and value.size:
+                stream.write("[\n" + inner)
+                write_rows(stream, [[value]], [",\n" + inner], "json", end="\n" + pad + "]")
+            elif value.ndim == 2 and value.dtype == np.float64 and value.size:
+                # the k leading columns repeat in every row, so are encoded once
+                k = min(frozen_columns(value), value.shape[1] - 1)
+                write_matrix(RowBlocks(value[0, :k], value.shape[1] - k, [value[:, k:]]), pad)
             elif value.ndim == 1 and len(value):
                 write_flat(value, pad, np.ndarray.tolist)
             else:
@@ -207,19 +218,15 @@ def dump_json(doc, stream):
             sep = ",\n" + inner
         stream.write("\n" + pad + "]")
 
-    def write_floats(value, pad):
+    def write_matrix(rows, pad):
         inner = pad + " "
-        stream.write("[\n" + inner)
-        if value.ndim == 1:
-            write_rows(stream, [value], [",\n" + inner], "json", end="\n" + pad + "]")
-            return
-        # the k leading columns repeat in every row, so are encoded once
         item = ",\n" + inner + " "
-        k = min(frozen_columns(value), value.shape[1] - 1)
-        head = leaf(value[0, :k].tolist(), inner + " ")[1:-1] + item if k else ""
+        head = leaf(rows.head.tolist(), inner + " ")[1:-1] + item if rows.head.size else ""
         close = "\n" + inner + "]"
+        stream.write("[\n" + inner)
         write_rows(
-            stream, [value[:, k:]], [item] * (value.shape[1] - k - 1) + [close + ",\n" + inner],
+            stream, ([block] for block in rows.blocks),
+            [item] * (rows.width - 1) + [close + ",\n" + inner],
             "json", lead="[" + item[1:] + head, end=close + "\n" + pad + "]",
         )
 
@@ -250,9 +257,19 @@ def cmd_transform(args):
 
 
 def cmd_evolve(args):
+    """Run the flow and write its trajectory as CSV or JSON.
+
+    The exact method streams its rows (flows.evolve_streamed): each block
+    of residues goes to the writers as it is made, so the run holds one
+    block, whatever the number of rows. Its checks run before the output
+    is opened, so a failing run writes nothing. The RK4 methods hold the
+    whole trajectory (flows.evolve): their JSON lists every row's
+    eigenvalue drift before the states.
+    """
     obj = parse_envelope(load_envelope(args.input))
     spec = FlowSpec(k=args.k, method=args.method, t_final=args.t, dt=args.dt, p=args.p)
-    traj = evolve(obj, spec, record_every=args.record_every)
+    run = evolve_streamed if spec.method == "exact" else evolve
+    traj = run(obj, spec, record_every=args.record_every)
     with open(args.file, "w") if args.file != "-" else contextlib.nullcontext(sys.stdout) as stream:
         if args.out == "csv":
             traj.to_csv(stream)

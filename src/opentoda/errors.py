@@ -59,7 +59,8 @@ class OverflowGuard(TodaError):
 
 
 class ResidueUnderflow(OverflowGuard):
-    """A residue rho_k of the direct transform lies below the smallest normal double."""
+    """A residue rho_k falls below the smallest normal double in the direct
+    transform, or underflows to 0 along the exact flow."""
 
 
 class DomainViolation(TodaError):

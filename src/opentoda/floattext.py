@@ -1,6 +1,6 @@
 """Rows of float64 numbers as the exact text Python prints for them.
 
-`write_rows` writes a float64 block, one row at a time, with every number
+`write_rows` writes float64 blocks, one row at a time, with every number
 printed as `'%.17g' %` prints it (style "csv": 17 significant digits) or as
 json's encoder prints it (style "json": `float.__repr__`, the shortest
 digits that read back to the same double, and NaN, Infinity, -Infinity).
@@ -367,35 +367,58 @@ def _text(values, row, style):
     return text
 
 
-def write_rows(stream, columns, seps, style, lead="", end=None):
-    """Write the rows of a float64 block to the text stream.
+def _passes(blocks, width, step):
+    """The rows of blocks (see write_rows), step at a time, as 2-D arrays
+    of width columns; only the last may hold fewer rows. A pass that spans
+    blocks is joined from their pieces."""
+    held, count = [], 0
+    for columns in blocks:
+        columns = [c[:, None] if c.ndim == 1 else c for c in columns]
+        if sum(c.shape[1] for c in columns) != width:
+            raise ValueError("need one separator per column")
+        rows = len(columns[0])
+        lo = 0
+        while lo < rows:
+            hi = min(rows, lo + step - count)
+            held.append(np.concatenate([c[lo:hi] for c in columns], axis=1))
+            count += hi - lo
+            lo = hi
+            if count == step:
+                yield held[0] if len(held) == 1 else np.concatenate(held)
+                held, count = [], 0
+    if count:
+        yield np.concatenate(held)
 
-    columns holds 1-D arrays (one column each) and 2-D arrays (their
+
+def write_rows(stream, blocks, seps, style, lead="", end=None):
+    """Write the rows of float64 blocks to the text stream.
+
+    blocks is an iterable of blocks of consecutive rows, taken in order; a
+    block is a list of 1-D arrays (one column each) and 2-D arrays (their
     columns), all with the same number of rows, side by side. Row i is
-    written as lead, then each number of the row followed by its
-    separator seps[j]; the separator after the last number of the last row
-    is end instead, when end is given. style is "csv" or "json" (see the
-    module docstring). Separators and lead are ASCII and hold no control
-    character but newline.
+    written as lead, then each number of the row followed by its separator
+    seps[j]; the separator after the last number of the last row is end
+    instead, when end is given. style is "csv" or "json" (see the module
+    docstring). Separators and lead are ASCII and hold no control character
+    but newline.
 
-    Rows go BLOCK // width at a time, and a row wider than BLOCK numbers
-    goes in pieces of BLOCK columns.
+    The row templates are built once for all blocks. Rows go BLOCK // width
+    at a time, across the ends of blocks, and a row wider than BLOCK numbers
+    goes in pieces of BLOCK columns. One piece of text is held back, so that
+    end can replace the last separator.
     """
-    columns = [c[:, None] if c.ndim == 1 else c for c in columns]
-    rows = len(columns[0])
-    width = sum(c.shape[1] for c in columns)
-    if len(seps) != width:
-        raise ValueError("need one separator per column")
+    width = len(seps)
     pieces = [
         (j, _template(lead if j == 0 else "", seps[j : j + BLOCK]))
         for j in range(0, width, BLOCK)
     ]
-    step = max(1, BLOCK // width)
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        values = np.concatenate([c[lo:hi] for c in columns], axis=1)
+    text = None
+    for values in _passes(blocks, width, max(1, BLOCK // width)):
         for j, row in pieces:
+            if text is not None:
+                stream.write(text)
             text = _text(values[:, j : j + BLOCK], row, style)
-            if hi == rows and j + BLOCK >= width and end is not None:
-                text = text[: len(text) - len(seps[-1])] + end
-            stream.write(text)
+    if text is not None:
+        if end is not None:
+            text = text[: len(text) - len(seps[-1])] + end
+        stream.write(text)

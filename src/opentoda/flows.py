@@ -8,7 +8,8 @@ two, and one stage of either costs O(n k^2) with no dense matrix: the Lax
 route forms only the tridiagonal part of the commutator, from the bands of
 L^k, and the Hamiltonian route applies the banded pi_p to grad H_{k-p}.
 `evolve` runs any of them from any state on one time grid (_time_grid),
-and trajectories carry isospectrality diagnostics.
+and trajectories carry isospectrality diagnostics. `evolve_streamed` runs
+the exact flow with rows computed a block at a time as they are written.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from .errors import (
     DomainViolation,
     NonFiniteState,
     OverflowGuard,
+    ResidueUnderflow,
     StructureViolation,
     TodaError,
 )
@@ -33,14 +35,14 @@ _METHODS = ("exact", "rk4-lax", "rk4-hamiltonian")
 # refused up front instead of looping (or allocating rows) without end.
 MAX_STEPS = 10**7
 
-# Largest number of doubles a recorded trajectory may hold (rows x state
-# width, 1 GiB); a larger record is refused before it is allocated.
+# Largest number of doubles a trajectory held in memory may hold (rows x
+# state width, 1 GiB); a larger one is refused before it is allocated.
 MAX_ENTRIES = 2**27
 
 # Elements of z^k t evaluated at once by the exact flow: enough time rows per
-# block to amortize numpy's call overhead, few enough that the temporaries
-# stay small next to the trajectory itself.
-_EXACT_BLOCK = 1 << 16
+# block to amortize numpy's call overhead, few enough that a streamed block
+# and its temporaries stay near the size of the writers' own passes.
+_EXACT_BLOCK = 1 << 14
 
 
 def _step_count(t_final, dt):
@@ -60,14 +62,13 @@ def _step_count(t_final, dt):
     return int(np.ceil(ratio - 4 * np.spacing(ratio)))
 
 
-def _time_grid(t_final, dt, record_every, width):
+def _time_grid(t_final, dt, record_every):
     """(nsteps, steps, times) of a run from 0 to t_final: its step count,
     the indices of its recorded steps and the times they end at.
 
     Step i ends at min(i dt, t_final), the last step on t_final: uniform
     steps of dt with the last one shortened. Recorded are step 0, every
-    record_every-th step and the last step. DomainViolation when those rows
-    of width doubles each would hold more than MAX_ENTRIES doubles.
+    record_every-th step and the last step.
     """
     if record_every < 1:
         raise DomainViolation("record_every must be >= 1")
@@ -75,11 +76,6 @@ def _time_grid(t_final, dt, record_every, width):
     # an interval beyond the step count records the endpoints only; the
     # clamp keeps arange within int64 for any record_every
     every = min(record_every, nsteps + 1)
-    rows = nsteps // every + 1 + (nsteps % every > 0)
-    if rows * width > MAX_ENTRIES:
-        raise DomainViolation(
-            f"{rows} recorded rows of {width} doubles exceed MAX_ENTRIES = {MAX_ENTRIES}"
-        )
     steps = np.arange(0, nsteps + 1, every)
     if nsteps % every:
         steps = np.append(steps, nsteps)
@@ -88,6 +84,16 @@ def _time_grid(t_final, dt, record_every, width):
         # _step_count's slack of a few ulps can leave nsteps dt a rounding short
         times[-1] = t_final
     return nsteps, steps, times
+
+
+def _allocate(rows, width):
+    """An uninitialized rows x width array for a whole trajectory;
+    DomainViolation when it would hold more than MAX_ENTRIES doubles."""
+    if rows * width > MAX_ENTRIES:
+        raise DomainViolation(
+            f"{rows} recorded rows of {width} doubles exceed MAX_ENTRIES = {MAX_ENTRIES}"
+        )
+    return np.empty((rows, width))
 
 
 @dataclass(frozen=True)
@@ -245,28 +251,61 @@ def _exact_rho(z, rho, k, ts):
 
     Exponents are shifted by their row maximum before exponentiation, so the
     formula stays finite for any t the doubles can express. The first row
-    whose exponents z^k t are not representable, or whose residue mass
-    underflows, raises OverflowGuard.
+    that fails raises, checked in this order: OverflowGuard when its
+    exponents z^k t are not representable or its residue mass underflows,
+    ResidueUnderflow when one of its residues underflows to 0, a state the
+    package refuses as input.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = z**k * ts[:, None]
-        bad_exponent = ~np.isfinite(e).all(axis=1)
-        w = rho * np.exp(e - e.max(axis=1, keepdims=True))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = z**k * ts[:, None]
+        bad_exponent = ~np.isfinite(w).all(axis=1)
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
+        w *= rho
         tot = w.sum(axis=1)
-    bad = bad_exponent | ~(np.isfinite(tot) & (tot > 0.0))
+        w /= tot[:, None]
+    bad_mass = ~(np.isfinite(tot) & (tot > 0.0))
+    bad = bad_exponent | bad_mass | ~(w.min(axis=1) > 0.0)
     if bad.any():
         first = int(np.argmax(bad))
         if bad_exponent[first]:
             raise OverflowGuard("flow exponents z^k t overflow")
-        raise OverflowGuard("residue mass lost to underflow")
-    return w / tot[:, None]
+        if bad_mass[first]:
+            raise OverflowGuard("residue mass lost to underflow")
+        raise ResidueUnderflow(f"a residue of the flow underflows to 0 at t = {float(ts[first])!r}")
+    return w
+
+
+def _exact_blocks(S, k, times):
+    """Iterator of (lo, rho): the residues of the exact X_k flow from the
+    normalized S at times[lo], times[lo + 1], .., as blocks of about
+    _EXACT_BLOCK numbers. times run from 0 to their largest |t| at the end
+    (a _time_grid), and row 0 holds S.rho itself.
+
+    The last row is evaluated before this returns, and raises as
+    _exact_rho does, so a run that fails raises before its first row is
+    made: log rho_n(t) is concave in t, so over a run the residues are
+    smallest, and |z^k t| is largest, at t = 0 or at the last time.
+    """
+    _exact_rho(S.z, S.rho, k, times[-1:])
+    step = max(1, _EXACT_BLOCK // S.n)
+
+    def blocks():
+        for lo in range(0, times.size, step):
+            rho = _exact_rho(S.z, S.rho, k, times[lo : lo + step])
+            if lo == 0:
+                rho[0] = S.rho
+            yield lo, rho
+
+    return blocks()
 
 
 def exact_flow(S, k, t):
     """Closed-form X_k flow: rho_n(t) = rho_n e^{z_n^k t} / sum_s rho_s e^{z_s^k t}.
 
-    OverflowGuard fires only when z^k t itself is not representable; a t
-    that is not finite raises DomainViolation.
+    OverflowGuard fires only when z^k t itself is not representable, and
+    ResidueUnderflow when a residue underflows to 0; a t that is not finite
+    raises DomainViolation.
     """
     if k < 1:
         raise DomainViolation("need k >= 1")
@@ -305,6 +344,45 @@ def _check_kind(kind):
         raise DomainViolation(f"unknown trajectory kind {kind!r}")
 
 
+def _field_names(kind, n, width):
+    if kind == "jacobi":
+        return [f"v{i}" for i in range(n)] + [f"c{i}" for i in range(n - 1)]
+    if kind == "spectral":
+        return [f"z{i}" for i in range(n)] + [f"rho{i}" for i in range(n)]
+    return [f"x{i}" for i in range(width)]
+
+
+def _write_csv(stream, names, head, width, blocks):
+    """One header line of names, then one line per row: its time, the
+    numbers of head (the same in every row), its width further state
+    numbers, its sum_rho_drift and its spectrum_drift. blocks yields
+    [times, states, sum_rho_drift, spectrum_drift] of consecutive rows.
+
+    Every number is printed as '%.17g' prints it (17 significant digits,
+    which round-trips the doubles), by floattext.write_rows; the text of
+    head is made once, into a separator that every line repeats.
+    """
+    stream.write(",".join(["t", *names, "sum_rho_drift", "spectrum_drift"]) + "\n")
+    frozen = "".join("%.17g," % x for x in head.tolist())
+    write_rows(stream, blocks, ["," + frozen] + [","] * (width + 1) + ["\n"], "csv")
+
+
+@dataclass(frozen=True)
+class RowBlocks:
+    """A float64 matrix of at least one row, as the 1-D array head of the
+    numbers that begin every row and an iterable of 2-D arrays of width
+    columns that hold the rest of consecutive rows, in order.
+
+    cli.dump_json writes it as the nested list of its rows, with the text
+    of head made once. Its blocks may be made as they are asked for, and
+    then can be iterated once.
+    """
+
+    head: np.ndarray
+    width: int
+    blocks: object
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled flow with per-sample conservation diagnostics, both against
@@ -318,6 +396,10 @@ class Trajectory:
     |e_0|^2 = 1. Rows whose diagnostics cannot be evaluated (blown-up
     states) carry NaN in both; raw rows carry 0 in both. Any other kind
     raises DomainViolation.
+
+    A Trajectory holds every row in memory, so evolve and rk4 refuse one of
+    more than MAX_ENTRIES doubles. StreamedTrajectory writes the same bytes
+    for an exact flow while holding one block of rows.
     """
 
     kind: str
@@ -359,29 +441,22 @@ class Trajectory:
 
     @property
     def field_names(self):
-        n = self.n
-        if self.kind == "jacobi":
-            return [f"v{i}" for i in range(n)] + [f"c{i}" for i in range(n - 1)]
-        if self.kind == "spectral":
-            return [f"z{i}" for i in range(n)] + [f"rho{i}" for i in range(n)]
-        return [f"x{i}" for i in range(self.states.shape[1])]
+        return _field_names(self.kind, self.n, self.states.shape[1])
 
     def to_csv(self, stream):
         """One header line, then one line per sample with every number
-        printed as '%.17g' prints it (17 significant digits, which
-        round-trips the doubles), by floattext.write_rows.
+        printed as '%.17g' prints it.
 
         The leading state columns that frozen_columns finds bit-identical in
         every row (the frozen eigenvalues of an exact flow) are printed once
         into a separator that every line repeats.
         """
-        names = ["t", *self.field_names, "sum_rho_drift", "spectrum_drift"]
-        stream.write(",".join(names) + "\n")
         k = frozen_columns(self.states)
-        frozen = "".join("%.17g," % x for x in self.states[:1, :k].ravel().tolist())
         free = self.states[:, k:]
-        seps = ["," + frozen] + [","] * (free.shape[1] + 1) + ["\n"]
-        write_rows(stream, [self.times, free, self.sum_rho_drift, self.spectrum_drift], seps, "csv")
+        _write_csv(
+            stream, self.field_names, self.states[:1, :k].ravel(), free.shape[1],
+            [[self.times, free, self.sum_rho_drift, self.spectrum_drift]],
+        )
 
     def to_payload(self):
         """The trajectory as a document; its arrays stay numpy arrays, which
@@ -401,6 +476,67 @@ class Trajectory:
         return self.states[-1]
 
 
+class StreamedTrajectory:
+    """The Trajectory of an exact flow with its rows made a block at a time
+    as they are written, so that a run holds one block of rows, not all of
+    them. to_csv, and cli.dump_json of to_payload(), write the bytes that
+    they write for the Trajectory that evolve returns. The rows can be
+    written once.
+
+    Its spectrum_drift is 0.0 on every row, as the eigenvalues are copied
+    bit for bit: one zero, broadcast. Its sum_rho_drift is filled block by
+    block as the rows are written and reads NaN before; dump_json sorts the
+    keys, so it writes "states" before "sum_rho_drift". It and times are
+    the only arrays of one number per row.
+    """
+
+    kind = "spectral"
+
+    def __init__(self, S, times, blocks):
+        self.n = S.n
+        self.z = S.z
+        self.times = times
+        self.sum_rho_drift = np.full(times.size, np.nan)
+        self.spectrum_drift = np.broadcast_to(0.0, times.size)
+        self._blocks = blocks
+
+    @property
+    def field_names(self):
+        return _field_names(self.kind, self.n, 2 * self.n)
+
+    def _rows(self):
+        """(lo, hi, rho) of each block of rows, with sum_rho_drift[lo:hi]
+        filled as Trajectory.build fills it."""
+        for lo, rho in self._blocks:
+            hi = lo + len(rho)
+            mass = rho.sum(axis=1)
+            if lo == 0:
+                mass0 = mass[0]
+            np.abs(mass - mass0, out=self.sum_rho_drift[lo:hi])
+            yield lo, hi, rho
+
+    def to_csv(self, stream):
+        """Trajectory.to_csv, a block of rows at a time; the eigenvalues are
+        the frozen columns."""
+        _write_csv(stream, self.field_names, self.z, self.n, (
+            [self.times[lo:hi], rho, self.sum_rho_drift[lo:hi], self.spectrum_drift[lo:hi]]
+            for lo, hi, rho in self._rows()
+        ))
+
+    def to_payload(self):
+        """Trajectory.to_payload with "states" a RowBlocks of the frozen
+        eigenvalues and the residue blocks."""
+        return {
+            "kind": self.kind,
+            "n": self.n,
+            "fields": self.field_names,
+            "times": self.times,
+            "states": RowBlocks(self.z, self.n, (rho for _, _, rho in self._rows())),
+            "sum_rho_drift": self.sum_rho_drift,
+            "spectrum_drift": self.spectrum_drift,
+        }
+
+
 def rk4(field, state, dt, t_final, kind="raw", n=None, record_every=1):
     """Classic fourth-order steps of x' = field(x) from t=0 to t_final.
 
@@ -409,14 +545,15 @@ def rk4(field, state, dt, t_final, kind="raw", n=None, record_every=1):
     t_final, and every record_every-th step recorded plus both endpoints.
     A kind that Trajectory.build refuses raises DomainViolation before the
     first step, and NonFiniteState is raised as soon as a step leaves the
-    finite floats.
+    finite floats. DomainViolation when the rows would hold more than
+    MAX_ENTRIES doubles.
     """
     _check_kind(kind)
     x = np.array(state, dtype=float)
-    nsteps, steps, times = _time_grid(t_final, dt, record_every, x.size)
+    nsteps, steps, times = _time_grid(t_final, dt, record_every)
     if n is None:
         n = x.size
-    rows = np.empty((times.size, x.size))
+    rows = _allocate(times.size, x.size)
     rows[0] = x
     row = 1
     for step in range(1, nsteps + 1):
@@ -435,24 +572,36 @@ def rk4(field, state, dt, t_final, kind="raw", n=None, record_every=1):
     return Trajectory.build(kind, n, times, rows)
 
 
+def _exact_grid(obj, spec, record_every):
+    """(S, times): the state as normalized spectral data and the recorded
+    times of an exact run."""
+    if spec.method != "exact":
+        raise DomainViolation("need the exact method")
+    S = to_spectral(obj)
+    _require_normalized(S)
+    return S, _time_grid(spec.t_final, spec.dt, record_every)[2]
+
+
 def evolve(obj, spec, record_every=1):
     """Run a FlowSpec on a PhasePoint, JacobiMatrix or SpectralData,
     converting the state by spectral.to_spectral or to_jacobi to the chart
-    the method wants. Every method records the rows of _time_grid. Exact
-    propagation evaluates the closed form at those times only; the RK4
-    methods integrate in the c-v chart."""
+    the method wants, and return the whole Trajectory. Every method records
+    the rows of _time_grid, and a Trajectory of more than MAX_ENTRIES
+    doubles raises DomainViolation before it is allocated.
+
+    Exact propagation evaluates the closed form at those times only, a
+    block at a time (_exact_blocks), and raises before its first block
+    when a recorded residue would underflow or an exponent overflow; the
+    RK4 methods integrate in the c-v chart. evolve_streamed runs the exact
+    method without holding its rows.
+    """
     if spec.method == "exact":
-        S = to_spectral(obj)
-        _require_normalized(S)
+        S, times = _exact_grid(obj, spec, record_every)
         n = S.n
-        _, _, times = _time_grid(spec.t_final, spec.dt, record_every, 2 * n)
-        states = np.empty((times.size, 2 * n))
+        states = _allocate(times.size, 2 * n)
         states[:, :n] = S.z
-        states[0, n:] = S.rho
-        block = max(1, _EXACT_BLOCK // n)
-        for lo in range(1, times.size, block):
-            hi = lo + block
-            states[lo:hi, n:] = _exact_rho(S.z, S.rho, spec.k, times[lo:hi])
+        for lo, rho in _exact_blocks(S, spec.k, times):
+            states[lo : lo + len(rho), n:] = rho
         return Trajectory.build("spectral", n, times, states)
 
     J = to_jacobi(obj)
@@ -467,3 +616,11 @@ def evolve(obj, spec, record_every=1):
         field, cv_pack(J), spec.dt, spec.t_final,
         kind="jacobi", n=n, record_every=record_every,
     )
+
+
+def evolve_streamed(obj, spec, record_every=1):
+    """The exact run of evolve as a StreamedTrajectory, whose rows are made
+    a block at a time as they are written; its size is not bounded by
+    MAX_ENTRIES. A run that fails raises here, before any row is made."""
+    S, times = _exact_grid(obj, spec, record_every)
+    return StreamedTrajectory(S, times, _exact_blocks(S, spec.k, times))

@@ -8,8 +8,8 @@ import json
 import numpy as np
 
 from opentoda.brackets import zrho_unpack
-from opentoda.errors import OverflowGuard
-from opentoda.flows import exact_flow
+from opentoda.errors import OverflowGuard, ResidueUnderflow
+from opentoda.flows import RowBlocks, exact_flow
 
 
 def dense(v, c):
@@ -135,7 +135,8 @@ def lanczos_loop(zs, w0):
 
 def exact_flow_rho(z, rho, k, t):
     """Residues of the closed-form X_k flow at one time t, evaluated on 1-D
-    arrays; the OverflowGuard checks come in the same order."""
+    arrays; the OverflowGuard and ResidueUnderflow checks come in the same
+    order."""
     with np.errstate(over="ignore", invalid="ignore"):
         e = z**k * t
     if not np.all(np.isfinite(e)):
@@ -144,15 +145,20 @@ def exact_flow_rho(z, rho, k, t):
     tot = float(np.sum(w))
     if not np.isfinite(tot) or tot <= 0.0:
         raise OverflowGuard("residue mass lost to underflow")
-    return w / tot
+    r = w / tot
+    if not np.all(r > 0.0):
+        raise ResidueUnderflow("a residue of the flow underflows to 0")
+    return r
 
 
 def exact_evolve_loop(S, k, t_final, dt, record_every=1):
     """(times, states) of an exact evolve, stepping through every index of
     the dt grid and calling exact_flow on each recorded one; the last step
-    ends on t_final."""
+    ends on t_final. As in evolve, the state at t_final is evaluated first,
+    so a run that fails raises its error."""
     ratio = t_final / dt
     nsteps = 0 if t_final == 0 else int(np.ceil(ratio - 4 * np.spacing(ratio)))
+    exact_flow(S, k, t_final)
     times = [0.0]
     rows = [np.concatenate([S.z, S.rho])]
     for i in range(1, nsteps + 1):
@@ -186,12 +192,18 @@ def trajectory_csv(traj, stream):
         w.writerow([f"{x:.17g}" for x in row])
 
 
+def _as_list(a):
+    """The nested list of a numpy array or of a RowBlocks' rows."""
+    if isinstance(a, RowBlocks):
+        head = a.head.tolist()
+        return [head + row for block in a.blocks for row in block.tolist()]
+    return a.tolist()
+
+
 def dump_json(doc, stream):
     """cli.dump_json through json.dump's own indenting encoder, with numpy
-    arrays written as their nested lists."""
-    json.dump(
-        doc, stream, sort_keys=True, separators=(",", ": "), indent=1, default=lambda a: a.tolist()
-    )
+    arrays and RowBlocks written as their nested lists."""
+    json.dump(doc, stream, sort_keys=True, separators=(",", ": "), indent=1, default=_as_list)
     stream.write("\n")
 
 

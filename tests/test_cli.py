@@ -247,6 +247,43 @@ def test_evolve_blowup_exit_code(tmp_path, capsys):
     assert "blow-up" in err
 
 
+@pytest.mark.parametrize(
+    "z, t, dt, error",
+    [
+        # z t is finite up to t = 1e8 and overflows at the last row, t = 4e8
+        ([0.0, 1e300], "4e8", "1e8", "exponents"),
+        # rho0 = e^{-600 t} / (1 + e^{-600 t}) underflows to 0 from t = 2 on
+        ([-300.0, 300.0], "3", "1", "underflows to 0 at t = 3.0"),
+    ],
+    ids=["exponent-overflow", "residue-underflow"],
+)
+@pytest.mark.parametrize("out", ["csv", "json"])
+def test_failing_exact_run_writes_nothing(tmp_path, capsys, z, t, dt, error, out):
+    S = SpectralData(z=np.array(z), rho=np.array([0.5, 0.5]))
+    path = write_envelope(tmp_path, S)
+    argv = ["evolve", path, "--method", "exact", "--t", t, "--dt", dt, "--out", out]
+    target = tmp_path / "traj.out"
+    for extra in ([], ["--file", str(target)]):
+        rc, stdout, err = run(argv + extra, capsys)
+        assert rc == 3 and stdout == ""
+        assert err.startswith("blow-up:") and error in err
+        assert not target.exists()
+
+
+def test_exact_flow_never_emits_a_zero_residue(tmp_path, capsys):
+    # the state the flow would reach at t = 2 is refused as input
+    envelope = {"kind": "spectral", "n": 2, "payload": {"z": [-300, 300], "rho": [0.5, 0.5]}}
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(envelope))
+    rc, out, err = run(["evolve", str(path), "--method", "exact", "--t", "1", "--dt", "1"], capsys)
+    assert rc == 0
+    assert float(out.splitlines()[-1].split(",")[3]) > 0.0
+    envelope["payload"]["rho"] = [0.0, 1.0]
+    path.write_text(json.dumps(envelope))
+    rc, out, _ = run(["evolve", str(path), "--t", "1", "--dt", "1"], capsys)
+    assert rc == 2 and out == ""
+
+
 def test_evolve_bad_spec(tmp_path, capsys):
     path = write_envelope(tmp_path, worked_spectral())
     for argv in (["--k", "0"], ["--t", "inf"], ["--t", "-1"]):

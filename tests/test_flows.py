@@ -12,6 +12,7 @@ from opentoda import (
     NonFiniteState,
     OverflowGuard,
     PhasePoint,
+    ResidueUnderflow,
     SpectralData,
     StructureViolation,
     Trajectory,
@@ -273,7 +274,7 @@ def test_time_grid_ends_once_on_t_final():
             nsteps = flows._step_count(t_final, dt)
             assert nsteps == math.ceil(Fraction(repr(t_final)) / Fraction(repr(dt)))
             # records step 0 and the last two steps
-            _, _, times = flows._time_grid(t_final, dt, max(1, nsteps - 1), 1)
+            _, _, times = flows._time_grid(t_final, dt, max(1, nsteps - 1))
             assert np.all(np.diff(times) > 0), (t_final, dt)
             assert times[-1] == t_final, (t_final, dt)
     for t_final, dt, nsteps in ((10.0, 1e-3, 10**4), (10.0, 5e-3, 2000), (0.2, 1e-3, 200)):
@@ -478,7 +479,13 @@ def test_exact_flow_matches_one_time_formula(rng):
         S = random_spectral(rng, n, min_gap=0.0)
         for k in (1, 2, 3):
             for t in (0.0, 1e-3, 0.7, -2.5, 40.0):
-                want = exact_flow_rho(S.z, S.rho, k, t)
+                try:
+                    want = exact_flow_rho(S.z, S.rho, k, t)
+                except ResidueUnderflow:
+                    # a residue underflows to 0, a state refused as input
+                    with pytest.raises(ResidueUnderflow):
+                        exact_flow(S, k, t)
+                    continue
                 np.testing.assert_array_equal(exact_flow(S, k, t).rho, want)
 
 
@@ -526,6 +533,30 @@ def test_exact_rho_raises_for_the_first_failing_row():
             flows._exact_rho(z, rho, 1, np.array(times))
         with pytest.raises(OverflowGuard, match=match):
             exact_flow_rho(z, rho, 1, times[0])
+
+
+def test_exact_flow_refuses_a_zero_residue():
+    # rho0 = e^{-600 t} / (1 + e^{-600 t}) underflows to 0 from t = 2 on,
+    # and z t overflows at t = 1e306; the first failing row raises, and a
+    # row's exponents are checked before its residues
+    S = SpectralData(z=np.array([-300.0, 300.0]), rho=np.array([0.5, 0.5]))
+    assert exact_flow(S, 1, 1.0).rho[0] > 0.0
+    with pytest.raises(ResidueUnderflow, match="t = 2.0"):
+        exact_flow(S, 1, 2.0)
+    with pytest.raises(ResidueUnderflow):
+        exact_flow_rho(S.z, S.rho, 1, 2.0)
+    for times, match in (((2.0, 1e306), "underflows to 0"), ((1e306, 2.0), "exponents")):
+        with pytest.raises(OverflowGuard, match=match):
+            flows._exact_rho(S.z, S.rho, 1, np.array(times))
+    # a run checks its last row before it makes any
+    spec = FlowSpec(k=1, method="exact", t_final=3.0, dt=1.0)
+    with pytest.raises(ResidueUnderflow, match="t = 3.0"):
+        evolve(S, spec)
+    with pytest.raises(ResidueUnderflow, match="t = 3.0"):
+        flows.evolve_streamed(S, spec)
+    with pytest.raises(ResidueUnderflow):
+        exact_evolve_loop(S, 1, 3.0, 1.0)
+    assert evolve(S, FlowSpec(k=1, method="exact", t_final=1.0, dt=0.5)).states[-1, 2] > 0.0
 
 
 def test_spectral_diagnostics_match_row_loop(rng):

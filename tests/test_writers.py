@@ -1,6 +1,7 @@
 """The trajectory CSV writer and cli.dump_json write the same bytes as the
 csv-module and json.dump writers kept in tests/oracles.py, also where they
-format a frozen block of leading columns once (flows.frozen_columns)."""
+format a frozen block of leading columns once (flows.frozen_columns) and
+where `toda evolve --method exact` streams its rows a block at a time."""
 
 import io
 import json
@@ -8,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from opentoda import FlowSpec, JacobiMatrix, Trajectory, cli, evolve, floattext
+from opentoda import DomainViolation, FlowSpec, JacobiMatrix, Trajectory, cli, evolve, flows, floattext
 from opentoda.cli import _JSON_SLICE, dump_json, main, make_envelope
 from opentoda.flows import frozen_columns
 
@@ -209,3 +210,71 @@ def test_commands_write_what_json_dump_writes(argv, tmp_path, rng, capsys, monke
     monkeypatch.setattr(cli, "dump_json", oracles.dump_json)
     assert main(argv) == rc
     assert got == capsys.readouterr().out
+
+
+def _cli_text(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [1, 2, 48])
+@pytest.mark.parametrize("every", [1, 7])
+@pytest.mark.parametrize(
+    "t_final, dt",
+    [(1.05, 0.1), (0.0, 0.1), (0.7005, 1e-3)],
+    ids=["short-last-step", "t0", "many-rows"],
+)
+def test_streamed_exact_output_matches_in_memory_writers(
+    tmp_path, rng, capsys, monkeypatch, n, every, t_final, dt
+):
+    # `toda evolve --method exact` writes its rows a block at a time; with
+    # blocks of 1, 2 and 3 rows and the default, its bytes are those of the
+    # in-memory Trajectory's writers and of the oracles
+    S = random_spectral(rng, n, min_gap=0.0)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(make_envelope(S)))
+    traj = evolve(S, FlowSpec(k=2, method="exact", t_final=t_final, dt=dt), every)
+    payload = traj.to_payload()
+    want = {
+        "csv": _text(traj.to_csv),
+        "json": _text(dump_json, payload),
+    }
+    assert want["csv"] == _text(oracles.trajectory_csv, traj)
+    assert want["json"] == _text(oracles.dump_json, payload)
+    argv = ["evolve", str(path), "--k", "2", "--t", repr(t_final), "--dt", repr(dt),
+            "--record-every", str(every)]
+    for block in (n, 2 * n, 3 * n, flows._EXACT_BLOCK):
+        monkeypatch.setattr(flows, "_EXACT_BLOCK", block)
+        for out in ("csv", "json"):
+            assert _cli_text(argv + ["--out", out], capsys) == want[out]
+
+
+def test_streamed_exact_output_is_not_bounded_by_max_entries(tmp_path, rng, capsys, monkeypatch):
+    # 11 rows of 2n = 8 doubles: the in-memory trajectory is refused, the
+    # streamed run writes the same bytes as without the bound
+    S = random_spectral(rng, 4)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(make_envelope(S)))
+    spec = FlowSpec(k=1, method="exact", t_final=1.0, dt=0.1)
+    argv = ["evolve", str(path), "--t", "1.0", "--dt", "0.1"]
+    want = {out: _cli_text(argv + ["--out", out], capsys) for out in ("csv", "json")}
+    monkeypatch.setattr(flows, "MAX_ENTRIES", 87)
+    with pytest.raises(DomainViolation, match="MAX_ENTRIES"):
+        evolve(S, spec)
+    for out in ("csv", "json"):
+        assert _cli_text(argv + ["--out", out], capsys) == want[out]
+
+
+def test_streamed_trajectory_writes_once_and_fills_its_drift(rng):
+    S = random_spectral(rng, 3)
+    spec = FlowSpec(k=1, method="exact", t_final=0.5, dt=0.1)
+    traj = evolve(S, spec)
+    streamed = flows.evolve_streamed(S, spec)
+    assert np.isnan(streamed.sum_rho_drift).all()
+    assert _text(streamed.to_csv) == _text(traj.to_csv)
+    np.testing.assert_array_equal(streamed.sum_rho_drift, traj.sum_rho_drift)
+    np.testing.assert_array_equal(streamed.spectrum_drift, traj.spectrum_drift)
+    # the blocks are spent: a second writer gets no rows
+    assert _text(streamed.to_csv).count("\n") == 1
+    with pytest.raises(DomainViolation, match="exact"):
+        flows.evolve_streamed(S, FlowSpec(k=1, method="rk4-lax", t_final=0.5, dt=0.1))
