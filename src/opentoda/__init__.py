@@ -71,7 +71,6 @@ from .brackets import (
     jacobi_residual,
     neg_log_mass,
     pi0_cv,
-    pi0_qp,
     pi1_cv,
     pi2_cv,
     pushforward,

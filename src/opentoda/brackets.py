@@ -1,9 +1,8 @@
-"""Poisson structures in the three coordinate charts, evaluable as
+"""Poisson structures in the c-v and z-rho charts, evaluable as
 antisymmetric tensors at a state, plus the generic verification machinery
 (Jacobi residual, pushforward, Casimir test, Dirac reduction).
 
 Flat state layouts:
-  QP    x = (q_0..q_{N-1}, p_0..p_{N-1})          dimension 2N
   CV    x = (v_0..v_{N-1}, c_0..c_{N-2})          dimension 2N-1
   ZRHO  x = (z_0..z_{N-1}, rho_0..rho_{N-1})      dimension 2N
 
@@ -156,26 +155,12 @@ def fd_jacobian(fn, x):
 
 
 # ---------------------------------------------------------------------------
-# closed-form tensors in the q-p and c-v charts
+# closed-form tensors in the c-v chart
 
 # Elementwise libm pow, which is what the scalar c_k ** m of a per-entry
 # assembly computes. Array ** 2 is a plain multiply and array ** 3 may take a
 # SIMD pow; either can differ from it in the last bit.
 _pow = np.float_power
-
-
-def pi0_qp(n):
-    """Canonical bracket: {q_k, p_k} = 1, everything else zero."""
-    d = 2 * n
-    M = np.zeros((d, d))
-    for k in range(n):
-        M[k, n + k] = 1.0
-    T = M - M.T
-
-    def tensor(x):
-        return T.copy()
-
-    return PoissonStructure(name="pi0_qp", tensor_fn=tensor)
 
 
 def _pi_cv_entries(p, v, c):

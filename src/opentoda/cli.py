@@ -8,7 +8,6 @@ under a fixed --seed.
 
 import argparse
 import contextlib
-import itertools
 import json
 import sys
 
@@ -31,9 +30,7 @@ from .flows import (
     FlowSpec,
     RowBlocks,
     evolve,
-    evolve_streamed,
     exact_flow,
-    frozen_columns,
     hamiltonian_field,
     lax_rhs,
 )
@@ -68,9 +65,6 @@ from .spectral import (
 from .tridiag import JacobiMatrix, PhasePoint, unflaschka
 
 _BLOWUP = (OverflowGuard, NonFiniteState, ConvergenceFailure)
-
-# Items of a flat list that dump_json encodes in one C-encoder call.
-_JSON_SLICE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -138,96 +132,54 @@ def load_envelope(path):
 
 def dump_json(doc, stream):
     """Write doc as `json.dump(doc, stream, sort_keys=True, separators=(",",
-    ": "), indent=1)` would, plus a newline, byte for byte.
+    ": "), indent=1)` would, plus a newline, byte for byte, with a numpy
+    array written as its nested list `a.tolist()` and a flows.RowBlocks as
+    the nested list of its rows.
 
-    json.dump runs its pure-Python encoder whenever it indents. Here the
-    containers are walked in Python, and every leaf and every flat list (one
-    holding no dict, list or array) goes to json's C encoder, with an item
-    separator that carries the line break and indentation. Flat lists go in
-    slices of _JSON_SLICE items, and each piece is written to the stream as
-    it is made, so no long list or document is ever held as one string.
-
-    A numpy array is written as its nested list `a.tolist()` would be. A
-    non-empty 1-D or 2-D float64 array goes to floattext.write_rows, which
-    prints its numbers as json does, a block at a time. Of a 2-D one, the
-    leading columns that flows.frozen_columns finds bit-identical in every
-    row (the frozen eigenvalues of an exact flow) are encoded once, and that
-    text opens every row; the last column is always printed per row. A
-    flows.RowBlocks is written as the nested list of its rows in the same
-    way, its head encoded once and its blocks written as they come. Other
-    arrays are written row by row through json's encoder, so no large array
-    is ever held as Python objects.
+    Dicts are walked here. A non-empty 1-D float64 array goes to
+    floattext.write_rows, which prints its numbers as json does, a block at
+    a time, and so does a RowBlocks, its head encoded once into the text
+    that opens every row and its blocks written as they come; either is
+    taken only as doc itself or as a value of a dict. Any other value is
+    small (envelopes, reports, bracket documents) and goes to json.dumps,
+    its lines indented to its depth.
     """
-    encoders = {}
-    containers = itertools.repeat((dict, list, tuple, np.ndarray))
-
-    def leaf(value, pad):
-        # pad is the indentation of a flat list's items
-        encode = encoders.get(pad)
-        if encode is None:
-            encode = encoders[pad] = json.JSONEncoder(separators=(",\n" + pad, ": ")).encode
-        return encode(value)
 
     def write(value, pad):
         inner = pad + " "
         if isinstance(value, RowBlocks):
             write_matrix(value, pad)
-        elif isinstance(value, np.ndarray):
-            if value.ndim == 1 and value.dtype == np.float64 and value.size:
-                stream.write("[\n" + inner)
-                write_rows(stream, [[value]], [",\n" + inner], "json", end="\n" + pad + "]")
-            elif value.ndim == 2 and value.dtype == np.float64 and value.size:
-                # the k leading columns repeat in every row, so are encoded once
-                k = min(frozen_columns(value), value.shape[1] - 1)
-                write_matrix(RowBlocks(value[0, :k], value.shape[1] - k, [value[:, k:]]), pad)
-            elif value.ndim == 1 and len(value):
-                write_flat(value, pad, np.ndarray.tolist)
-            else:
-                # a 0-d or empty array is a leaf; rows of a higher one are
-                # written one by one
-                write(list(value) if value.ndim > 1 and len(value) else value.tolist(), pad)
+        elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64 and value.size:
+            stream.write("[\n" + inner)
+            write_rows(stream, [[value]], [",\n" + inner], "json", end="\n" + pad + "]")
         elif isinstance(value, dict) and value:
             sep = "{\n" + inner
             for key, item in sorted(value.items()):
-                if not isinstance(key, str):
-                    key = leaf(key, inner)
-                stream.write(sep + leaf(key, inner) + ": ")
+                # json turns a key that is not a string into the text of its value
+                stream.write(sep + json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ")
                 write(item, inner)
                 sep = ",\n" + inner
             stream.write("\n" + pad + "}")
-        elif isinstance(value, (list, tuple)) and value:
-            if any(map(isinstance, value, containers)):
-                sep = "[\n" + inner
-                for item in value:
-                    stream.write(sep)
-                    write(item, inner)
-                    sep = ",\n" + inner
-                stream.write("\n" + pad + "]")
-            else:
-                write_flat(value, pad, list)
         else:
-            stream.write(leaf(value, inner))
-
-    def write_flat(value, pad, as_list):
-        # as_list turns a slice of value into a list for json's encoder
-        inner = pad + " "
-        stream.write("[\n" + inner)
-        sep = ""
-        for i in range(0, len(value), _JSON_SLICE):
-            stream.write(sep + leaf(as_list(value[i : i + _JSON_SLICE]), inner)[1:-1])
-            sep = ",\n" + inner
-        stream.write("\n" + pad + "]")
+            text = json.dumps(
+                value, indent=1, sort_keys=True, separators=(",", ": "), default=np.ndarray.tolist
+            )
+            stream.write(text.replace("\n", "\n" + pad))
 
     def write_matrix(rows, pad):
         inner = pad + " "
         item = ",\n" + inner + " "
-        head = leaf(rows.head.tolist(), inner + " ")[1:-1] + item if rows.head.size else ""
+        head, blocks = rows.head, ([block] for block in rows.blocks)
+        if not rows.width:
+            # the kernel prints at least one number of each row: the last of head
+            head = head[:-1]
+            blocks = ([np.full(len(block), rows.head[-1])] for block in rows.blocks)
+        lead = "".join(json.dumps(x) + item for x in head.tolist())
         close = "\n" + inner + "]"
         stream.write("[\n" + inner)
         write_rows(
-            stream, ([block] for block in rows.blocks),
-            [item] * (rows.width - 1) + [close + ",\n" + inner],
-            "json", lead="[" + item[1:] + head, end=close + "\n" + pad + "]",
+            stream, blocks, [item] * (max(rows.width, 1) - 1) + [close + ",\n" + inner],
+            "json", lead="[" + item[1:] + lead, end=close + "\n" + pad + "]",
         )
 
     write(doc, "")
@@ -257,19 +209,16 @@ def cmd_transform(args):
 
 
 def cmd_evolve(args):
-    """Run the flow and write its trajectory as CSV or JSON.
+    """Run the flow (flows.evolve) and write its trajectory as CSV or JSON.
 
-    The exact method streams its rows (flows.evolve_streamed): each block
-    of residues goes to the writers as it is made, so the run holds one
-    block, whatever the number of rows. Its checks run before the output
-    is opened, so a failing run writes nothing. The RK4 methods hold the
-    whole trajectory (flows.evolve): their JSON lists every row's
-    eigenvalue drift before the states.
+    evolve runs its checks before it returns, so a failing run raises
+    before the output is opened and writes nothing. An exact trajectory
+    evaluates its residues a block at a time as the writers ask for them,
+    so the run holds one block of rows, whatever their number.
     """
     obj = parse_envelope(load_envelope(args.input))
     spec = FlowSpec(k=args.k, method=args.method, t_final=args.t, dt=args.dt, p=args.p)
-    run = evolve_streamed if spec.method == "exact" else evolve
-    traj = run(obj, spec, record_every=args.record_every)
+    traj = evolve(obj, spec, record_every=args.record_every)
     with open(args.file, "w") if args.file != "-" else contextlib.nullcontext(sys.stdout) as stream:
         if args.out == "csv":
             traj.to_csv(stream)

@@ -8,8 +8,9 @@ two, and one stage of either costs O(n k^2) with no dense matrix: the Lax
 route forms only the tridiagonal part of the commutator, from the bands of
 L^k, and the Hamiltonian route applies the banded pi_p to grad H_{k-p}.
 `evolve` runs any of them from any state on one time grid (_time_grid),
-and trajectories carry isospectrality diagnostics. `evolve_streamed` runs
-the exact flow with rows computed a block at a time as they are written.
+and trajectories carry isospectrality diagnostics. An exact trajectory
+holds its frozen poles once and evaluates its residues a block at a time
+whenever its rows are read.
 """
 
 from dataclasses import dataclass
@@ -35,13 +36,14 @@ _METHODS = ("exact", "rk4-lax", "rk4-hamiltonian")
 # refused up front instead of looping (or allocating rows) without end.
 MAX_STEPS = 10**7
 
-# Largest number of doubles a trajectory held in memory may hold (rows x
-# state width, 1 GiB); a larger one is refused before it is allocated.
+# Largest number of doubles a trajectory's rows may hold in memory at once
+# (rows x state width, 1 GiB); a larger array is refused before it is
+# allocated.
 MAX_ENTRIES = 2**27
 
 # Elements of z^k t evaluated at once by the exact flow: enough time rows per
-# block to amortize numpy's call overhead, few enough that a streamed block
-# and its temporaries stay near the size of the writers' own passes.
+# block to amortize numpy's call overhead, few enough that a block of
+# residues and its temporaries stay near the size of the writers' own passes.
 _EXACT_BLOCK = 1 << 14
 
 
@@ -276,28 +278,24 @@ def _exact_rho(z, rho, k, ts):
     return w
 
 
-def _exact_blocks(S, k, times):
-    """Iterator of (lo, rho): the residues of the exact X_k flow from the
-    normalized S at times[lo], times[lo + 1], .., as blocks of about
-    _EXACT_BLOCK numbers. times run from 0 to their largest |t| at the end
-    (a _time_grid), and row 0 holds S.rho itself.
+class _ExactRows:
+    """The residues of the exact X_k flow from the normalized S at the
+    times of a _time_grid, as an iterable of blocks of consecutive rows of
+    about _EXACT_BLOCK numbers, evaluated again by _exact_rho each time it
+    is iterated. Row 0 holds S.rho itself, and each block leaves out its
+    first skip columns."""
 
-    The last row is evaluated before this returns, and raises as
-    _exact_rho does, so a run that fails raises before its first row is
-    made: log rho_n(t) is concave in t, so over a run the residues are
-    smallest, and |z^k t| is largest, at t = 0 or at the last time.
-    """
-    _exact_rho(S.z, S.rho, k, times[-1:])
-    step = max(1, _EXACT_BLOCK // S.n)
+    def __init__(self, S, k, times, skip=0):
+        self.S, self.k, self.times, self.skip = S, k, times, skip
 
-    def blocks():
-        for lo in range(0, times.size, step):
-            rho = _exact_rho(S.z, S.rho, k, times[lo : lo + step])
+    def __iter__(self):
+        S = self.S
+        step = max(1, _EXACT_BLOCK // S.n)
+        for lo in range(0, self.times.size, step):
+            rho = _exact_rho(S.z, S.rho, self.k, self.times[lo : lo + step])
             if lo == 0:
                 rho[0] = S.rho
-            yield lo, rho
-
-    return blocks()
+            yield rho[:, self.skip :]
 
 
 def exact_flow(S, k, t):
@@ -319,26 +317,6 @@ def exact_flow(S, k, t):
 # ---------------------------------------------------------------------------
 # trajectories
 
-def frozen_columns(a):
-    """Number of leading columns of the 2-D float64 array a whose every row
-    holds the same double as row 0 (0 when a has no rows).
-
-    Doubles are compared by bit pattern, not by ==, which holds for 0.0 and
-    -0.0 (they print differently) and fails for a NaN; NaNs that differ in
-    their payload bits count as different. Columns are compared from the
-    left, one at a time, up to the first that differs, so no temporary as
-    large as a is made.
-    """
-    if not len(a):
-        return 0
-    bits = a.view(np.uint64)
-    for k in range(a.shape[1]):
-        column = bits[:, k]
-        if not (column == column[0]).all():
-            return k
-    return a.shape[1]
-
-
 def _check_kind(kind):
     if kind not in ("spectral", "jacobi", "raw"):
         raise DomainViolation(f"unknown trajectory kind {kind!r}")
@@ -352,30 +330,16 @@ def _field_names(kind, n, width):
     return [f"x{i}" for i in range(width)]
 
 
-def _write_csv(stream, names, head, width, blocks):
-    """One header line of names, then one line per row: its time, the
-    numbers of head (the same in every row), its width further state
-    numbers, its sum_rho_drift and its spectrum_drift. blocks yields
-    [times, states, sum_rho_drift, spectrum_drift] of consecutive rows.
-
-    Every number is printed as '%.17g' prints it (17 significant digits,
-    which round-trips the doubles), by floattext.write_rows; the text of
-    head is made once, into a separator that every line repeats.
-    """
-    stream.write(",".join(["t", *names, "sum_rho_drift", "spectrum_drift"]) + "\n")
-    frozen = "".join("%.17g," % x for x in head.tolist())
-    write_rows(stream, blocks, ["," + frozen] + [","] * (width + 1) + ["\n"], "csv")
-
-
 @dataclass(frozen=True)
 class RowBlocks:
     """A float64 matrix of at least one row, as the 1-D array head of the
     numbers that begin every row and an iterable of 2-D arrays of width
-    columns that hold the rest of consecutive rows, in order.
+    columns that hold the rest of consecutive rows, in order. The blocks
+    can be iterated more than once, and may be made anew each time.
 
-    cli.dump_json writes it as the nested list of its rows, with the text
-    of head made once. Its blocks may be made as they are asked for, and
-    then can be iterated once.
+    Trajectory.to_csv, and cli.dump_json, which writes it as the nested
+    list of its rows, make the text of head once and write the blocks as
+    they come.
     """
 
     head: np.ndarray
@@ -389,6 +353,13 @@ class Trajectory:
     the first sample: spectrum_drift is the largest eigenvalue excursion and
     sum_rho_drift is |sum rho (t) - sum rho (0)|.
 
+    Its rows are a RowBlocks. Trajectory.build keeps an array of states as
+    one block with an empty head. evolve's exact method keeps the frozen
+    poles as the head and residue blocks that are evaluated again whenever
+    the rows are read, so writing a run of any length holds one block of
+    rows; states and final_state assemble every row and refuse more than
+    MAX_ENTRIES doubles.
+
     Spectral rows carry their eigenvalues and residues. For jacobi rows the
     eigenvalues come from tridiag._eigenvalues, one row at a time so memory
     stays flat, and sum_rho_drift is 0: the residues are the squares of the
@@ -396,16 +367,12 @@ class Trajectory:
     |e_0|^2 = 1. Rows whose diagnostics cannot be evaluated (blown-up
     states) carry NaN in both; raw rows carry 0 in both. Any other kind
     raises DomainViolation.
-
-    A Trajectory holds every row in memory, so evolve and rk4 refuse one of
-    more than MAX_ENTRIES doubles. StreamedTrajectory writes the same bytes
-    for an exact flow while holding one block of rows.
     """
 
     kind: str
     n: int
     times: np.ndarray
-    states: np.ndarray
+    rows: RowBlocks
     sum_rho_drift: np.ndarray
     spectrum_drift: np.ndarray
 
@@ -415,9 +382,11 @@ class Trajectory:
         times = np.asarray(times, dtype=float)
         states = np.asarray(states, dtype=float)
         m = times.size
+        if not m:
+            raise DomainViolation("a trajectory needs at least one row")
         sr = np.zeros(m)
         sd = np.zeros(m)
-        if kind == "spectral" and m:
+        if kind == "spectral":
             mass = states[:, n:].sum(axis=1)
             sr = np.abs(mass - mass[0])
             # a running maximum over the columns makes no rows x n temporary
@@ -435,103 +404,59 @@ class Trajectory:
                     z0 = z
                 sd[i] = float(np.max(np.abs(z - z0)))
         return cls(
-            kind=kind, n=n, times=times, states=states,
+            kind=kind, n=n, times=times, rows=RowBlocks(np.empty(0), states.shape[1], (states,)),
             sum_rho_drift=sr, spectrum_drift=sd,
         )
 
     @property
-    def field_names(self):
-        return _field_names(self.kind, self.n, self.states.shape[1])
-
-    def to_csv(self, stream):
-        """One header line, then one line per sample with every number
-        printed as '%.17g' prints it.
-
-        The leading state columns that frozen_columns finds bit-identical in
-        every row (the frozen eigenvalues of an exact flow) are printed once
-        into a separator that every line repeats.
-        """
-        k = frozen_columns(self.states)
-        free = self.states[:, k:]
-        _write_csv(
-            stream, self.field_names, self.states[:1, :k].ravel(), free.shape[1],
-            [[self.times, free, self.sum_rho_drift, self.spectrum_drift]],
-        )
-
-    def to_payload(self):
-        """The trajectory as a document; its arrays stay numpy arrays, which
-        cli.dump_json writes as lists."""
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "fields": self.field_names,
-            "times": self.times,
-            "states": self.states,
-            "sum_rho_drift": self.sum_rho_drift,
-            "spectrum_drift": self.spectrum_drift,
-        }
+    def states(self):
+        """Every row in one array; DomainViolation when it would hold more
+        than MAX_ENTRIES doubles."""
+        k = self.rows.head.size
+        states = _allocate(self.times.size, k + self.rows.width)
+        states[:, :k] = self.rows.head
+        lo = 0
+        for block in self.rows.blocks:
+            states[lo : lo + len(block), k:] = block
+            lo += len(block)
+        return states
 
     @property
     def final_state(self):
         return self.states[-1]
 
-
-class StreamedTrajectory:
-    """The Trajectory of an exact flow with its rows made a block at a time
-    as they are written, so that a run holds one block of rows, not all of
-    them. to_csv, and cli.dump_json of to_payload(), write the bytes that
-    they write for the Trajectory that evolve returns. The rows can be
-    written once.
-
-    Its spectrum_drift is 0.0 on every row, as the eigenvalues are copied
-    bit for bit: one zero, broadcast. Its sum_rho_drift is filled block by
-    block as the rows are written and reads NaN before; dump_json sorts the
-    keys, so it writes "states" before "sum_rho_drift". It and times are
-    the only arrays of one number per row.
-    """
-
-    kind = "spectral"
-
-    def __init__(self, S, times, blocks):
-        self.n = S.n
-        self.z = S.z
-        self.times = times
-        self.sum_rho_drift = np.full(times.size, np.nan)
-        self.spectrum_drift = np.broadcast_to(0.0, times.size)
-        self._blocks = blocks
-
     @property
     def field_names(self):
-        return _field_names(self.kind, self.n, 2 * self.n)
-
-    def _rows(self):
-        """(lo, hi, rho) of each block of rows, with sum_rho_drift[lo:hi]
-        filled as Trajectory.build fills it."""
-        for lo, rho in self._blocks:
-            hi = lo + len(rho)
-            mass = rho.sum(axis=1)
-            if lo == 0:
-                mass0 = mass[0]
-            np.abs(mass - mass0, out=self.sum_rho_drift[lo:hi])
-            yield lo, hi, rho
+        return _field_names(self.kind, self.n, self.rows.head.size + self.rows.width)
 
     def to_csv(self, stream):
-        """Trajectory.to_csv, a block of rows at a time; the eigenvalues are
-        the frozen columns."""
-        _write_csv(stream, self.field_names, self.z, self.n, (
-            [self.times[lo:hi], rho, self.sum_rho_drift[lo:hi], self.spectrum_drift[lo:hi]]
-            for lo, hi, rho in self._rows()
-        ))
+        """One header line, then one line per row: its time, its state, its
+        sum_rho_drift and its spectrum_drift, every number printed as
+        '%.17g' prints it (17 significant digits, which round-trip the
+        doubles) by floattext.write_rows. The text of the head of the rows
+        is made once, into a separator that every line repeats."""
+
+        def blocks():
+            lo = 0
+            for block in self.rows.blocks:
+                hi = lo + len(block)
+                yield [self.times[lo:hi], block, self.sum_rho_drift[lo:hi], self.spectrum_drift[lo:hi]]
+                lo = hi
+
+        stream.write(",".join(["t", *self.field_names, "sum_rho_drift", "spectrum_drift"]) + "\n")
+        head = "".join("%.17g," % x for x in self.rows.head.tolist())
+        write_rows(stream, blocks(), ["," + head] + [","] * (self.rows.width + 1) + ["\n"], "csv")
 
     def to_payload(self):
-        """Trajectory.to_payload with "states" a RowBlocks of the frozen
-        eigenvalues and the residue blocks."""
+        """The trajectory as a document for cli.dump_json: its rows are the
+        RowBlocks and its other arrays stay numpy arrays, which dump_json
+        writes as lists."""
         return {
             "kind": self.kind,
             "n": self.n,
             "fields": self.field_names,
             "times": self.times,
-            "states": RowBlocks(self.z, self.n, (rho for _, _, rho in self._rows())),
+            "states": self.rows,
             "sum_rho_drift": self.sum_rho_drift,
             "spectrum_drift": self.spectrum_drift,
         }
@@ -572,37 +497,47 @@ def rk4(field, state, dt, t_final, kind="raw", n=None, record_every=1):
     return Trajectory.build(kind, n, times, rows)
 
 
-def _exact_grid(obj, spec, record_every):
-    """(S, times): the state as normalized spectral data and the recorded
-    times of an exact run."""
-    if spec.method != "exact":
-        raise DomainViolation("need the exact method")
-    S = to_spectral(obj)
-    _require_normalized(S)
-    return S, _time_grid(spec.t_final, spec.dt, record_every)[2]
-
-
 def evolve(obj, spec, record_every=1):
     """Run a FlowSpec on a PhasePoint, JacobiMatrix or SpectralData,
     converting the state by spectral.to_spectral or to_jacobi to the chart
-    the method wants, and return the whole Trajectory. Every method records
-    the rows of _time_grid, and a Trajectory of more than MAX_ENTRIES
-    doubles raises DomainViolation before it is allocated.
+    the method wants, and return its Trajectory. Every method records the
+    rows of _time_grid.
 
-    Exact propagation evaluates the closed form at those times only, a
-    block at a time (_exact_blocks), and raises before its first block
-    when a recorded residue would underflow or an exponent overflow; the
-    RK4 methods integrate in the c-v chart. evolve_streamed runs the exact
-    method without holding its rows.
+    The RK4 methods integrate in the c-v chart and hold their rows in
+    memory, so a run of more than MAX_ENTRIES doubles raises
+    DomainViolation before it starts. The exact method keeps the poles,
+    which are frozen, as the head of its rows, and evaluates the closed
+    form at the recorded times a block at a time (_ExactRows), whenever the
+    rows are read. Before it returns, it evaluates the last row, and then
+    every row once for sum_rho_drift; its spectrum_drift is 0, as the poles
+    are copied bit for bit. So a run raises here, before any row is
+    written, when a recorded residue would underflow or an exponent
+    overflow: log rho_n(t) is concave in t, so over a run the residues are
+    smallest, and |z^k t| is largest, at t = 0 or at the last time.
     """
     if spec.method == "exact":
-        S, times = _exact_grid(obj, spec, record_every)
-        n = S.n
-        states = _allocate(times.size, 2 * n)
-        states[:, :n] = S.z
-        for lo, rho in _exact_blocks(S, spec.k, times):
-            states[lo : lo + len(rho), n:] = rho
-        return Trajectory.build("spectral", n, times, states)
+        S = to_spectral(obj)
+        _require_normalized(S)
+        k, n = spec.k, S.n
+        times = _time_grid(spec.t_final, spec.dt, record_every)[2]
+        _exact_rho(S.z, S.rho, k, times[-1:])
+        drift = np.empty(times.size)
+        lo = 0
+        for rho in _ExactRows(S, k, times):
+            drift[lo : lo + len(rho)] = rho.sum(axis=1)
+            lo += len(rho)
+        # |sum rho(t) - sum rho(0)|, in place
+        np.abs(np.subtract(drift, drift[0], out=drift), out=drift)
+        # at n = 1 each row after row 0 holds x / x, so a residue of exactly
+        # 1.0 is frozen with the pole
+        frozen = int(S.rho.tolist() == [1.0])
+        rows = RowBlocks(
+            np.concatenate([S.z, S.rho[:frozen]]), n - frozen, _ExactRows(S, k, times, frozen)
+        )
+        return Trajectory(
+            kind="spectral", n=n, times=times, rows=rows,
+            sum_rho_drift=drift, spectrum_drift=np.zeros(times.size),
+        )
 
     J = to_jacobi(obj)
     n, k = J.n, spec.k
@@ -616,11 +551,3 @@ def evolve(obj, spec, record_every=1):
         field, cv_pack(J), spec.dt, spec.t_final,
         kind="jacobi", n=n, record_every=record_every,
     )
-
-
-def evolve_streamed(obj, spec, record_every=1):
-    """The exact run of evolve as a StreamedTrajectory, whose rows are made
-    a block at a time as they are written; its size is not bounded by
-    MAX_ENTRIES. A run that fails raises here, before any row is made."""
-    S, times = _exact_grid(obj, spec, record_every)
-    return StreamedTrajectory(S, times, _exact_blocks(S, spec.k, times))

@@ -187,8 +187,9 @@ def trajectory_csv(traj, stream):
     """Trajectory.to_csv written through the csv module."""
     w = csv.writer(stream, lineterminator="\n")
     w.writerow(["t"] + traj.field_names + ["sum_rho_drift", "spectrum_drift"])
+    states = traj.states
     for i in range(traj.times.size):
-        row = [traj.times[i], *traj.states[i], traj.sum_rho_drift[i], traj.spectrum_drift[i]]
+        row = [traj.times[i], *states[i], traj.sum_rho_drift[i], traj.spectrum_drift[i]]
         w.writerow([f"{x:.17g}" for x in row])
 
 

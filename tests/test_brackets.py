@@ -23,7 +23,6 @@ from opentoda import (
     fd_gradient,
     jacobi_residual,
     pi0_cv,
-    pi0_qp,
     pi1_cv,
     pi2_cv,
     pushforward,
@@ -85,14 +84,7 @@ def test_weight_antiderivative_values():
 
 
 # ---------------------------------------------------------------------------
-# closed-form tensors in the q-p and c-v charts
-
-def test_pi0_qp_pattern():
-    T = pi0_qp(2).tensor(np.zeros(4))
-    E = np.zeros((4, 4))
-    E[0, 2] = E[1, 3] = 1.0
-    np.testing.assert_array_equal(T, E - E.T)
-
+# closed-form tensors in the c-v chart
 
 def test_pi0_cv_entries():
     T = pi0_cv(2).tensor(np.array([0.3, -0.4, 2.0]))

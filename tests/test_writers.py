@@ -1,7 +1,7 @@
 """The trajectory CSV writer and cli.dump_json write the same bytes as the
 csv-module and json.dump writers kept in tests/oracles.py, also where they
-format a frozen block of leading columns once (flows.frozen_columns) and
-where `toda evolve --method exact` streams its rows a block at a time."""
+format the frozen head of a trajectory's rows once and where an exact
+trajectory evaluates its residues a block at a time as they are written."""
 
 import io
 import json
@@ -9,9 +9,10 @@ import json
 import numpy as np
 import pytest
 
-from opentoda import DomainViolation, FlowSpec, JacobiMatrix, Trajectory, cli, evolve, flows, floattext
-from opentoda.cli import _JSON_SLICE, dump_json, main, make_envelope
-from opentoda.flows import frozen_columns
+from opentoda import (
+    DomainViolation, FlowSpec, JacobiMatrix, SpectralData, Trajectory, cli, evolve, flows, floattext,
+)
+from opentoda.cli import dump_json, main, make_envelope
 
 import oracles
 from conftest import random_jacobi, random_spectral
@@ -83,8 +84,9 @@ def _nan(payload):
     return np.array([0x7FF8000000000000 | payload], dtype=np.uint64).view(np.float64)[0]
 
 
-def _blocks(rng):
-    """Pairs of a 2-D float64 array and its number of frozen leading columns."""
+def _repeated_columns(rng):
+    """2-D float64 arrays whose leading columns repeat the double of row 0
+    in some rows, down to the sign of a zero and the payload of a NaN."""
     cases = []
     width = 5
     for rows in (1, 4):
@@ -94,42 +96,23 @@ def _blocks(rng):
             if rows > 1 and k < width:
                 # the first free column differs between rows 0 and 1
                 a[1, k] += 1.0
-            # every column of a single row is frozen
-            cases.append((a, k if rows > 1 else width))
+            cases.append(a)
     signed_zero = np.ones((3, 3))
     signed_zero[:, 0] = 0.0
     signed_zero[2, 0] = -0.0
-    cases.append((signed_zero, 0))
     nans = np.full((3, 3), 2.5)
     nans[:, 0] = _nan(0)
     nans[:, 1] = [_nan(1), _nan(1), _nan(2)]
-    cases.append((nans, 1))
     infs = np.full((3, 3), 0.25)
     infs[:, 0] = np.inf
     infs[1:, 2] = -np.inf
-    cases.append((infs, 2))
     wide = rng.normal(size=(3, 600))
     wide[:, :300] = wide[0, :300]
-    cases.append((wide, 300))
-    return cases
+    return cases + [signed_zero, nans, infs, wide]
 
 
-def test_frozen_columns_compares_bit_patterns(rng):
-    for a, k in _blocks(rng):
-        assert frozen_columns(a) == k
-    assert frozen_columns(np.zeros((0, 3))) == 0
-    assert frozen_columns(np.zeros((4, 0))) == 0
-    assert frozen_columns(np.zeros((0, 0))) == 0
-    assert frozen_columns(np.array([[np.nan, -0.0, 1.0]])) == 3
-    # a strided view compares the columns it shows
-    a = np.ones((3, 4))
-    a[1, 1] = 2.0
-    assert frozen_columns(a[:, ::2]) == 2
-    assert frozen_columns(a[::2]) == 4
-
-
-def test_writers_share_frozen_columns_byte_for_byte(rng):
-    for a, _ in _blocks(rng):
+def test_writers_match_oracles_on_repeated_columns(rng):
+    for a in _repeated_columns(rng):
         rows, width = a.shape
         traj = Trajectory.build("raw", width, np.arange(rows) / 8.0, a)
         assert _text(traj.to_csv) == _text(oracles.trajectory_csv, traj)
@@ -139,11 +122,8 @@ def test_writers_share_frozen_columns_byte_for_byte(rng):
 
 @pytest.mark.parametrize("n", [48, 300])
 def test_exact_trajectory_writers_match_oracles(rng, n):
-    # at n = 300 the frozen block ends off a _JSON_SLICE boundary
-    assert n % _JSON_SLICE
     S = random_spectral(rng, n, min_gap=0.0)
     traj = evolve(S, FlowSpec(k=2, method="exact", t_final=0.05, dt=0.01))
-    assert frozen_columns(traj.states) >= n
     assert _text(traj.to_csv) == _text(oracles.trajectory_csv, traj)
     doc = traj.to_payload()
     assert _text(dump_json, doc) == _text(oracles.dump_json, doc)
@@ -250,8 +230,9 @@ def test_streamed_exact_output_matches_in_memory_writers(
 
 
 def test_streamed_exact_output_is_not_bounded_by_max_entries(tmp_path, rng, capsys, monkeypatch):
-    # 11 rows of 2n = 8 doubles: the in-memory trajectory is refused, the
-    # streamed run writes the same bytes as without the bound
+    # 11 rows of 2n = 8 doubles: assembling every row is refused, while the
+    # writers, which take the residues a block at a time, write the same
+    # bytes as without the bound
     S = random_spectral(rng, 4)
     path = tmp_path / "in.json"
     path.write_text(json.dumps(make_envelope(S)))
@@ -259,22 +240,36 @@ def test_streamed_exact_output_is_not_bounded_by_max_entries(tmp_path, rng, caps
     argv = ["evolve", str(path), "--t", "1.0", "--dt", "0.1"]
     want = {out: _cli_text(argv + ["--out", out], capsys) for out in ("csv", "json")}
     monkeypatch.setattr(flows, "MAX_ENTRIES", 87)
+    traj = evolve(S, spec)
     with pytest.raises(DomainViolation, match="MAX_ENTRIES"):
-        evolve(S, spec)
+        traj.states
+    assert _text(traj.to_csv) == want["csv"]
     for out in ("csv", "json"):
         assert _cli_text(argv + ["--out", out], capsys) == want[out]
 
 
-def test_streamed_trajectory_writes_once_and_fills_its_drift(rng):
+def test_exact_trajectory_writes_csv_json_csv(rng):
+    # perfbench's probe writes one trajectory as CSV, then as JSON: the
+    # residue blocks are evaluated again for every writer
     S = random_spectral(rng, 3)
-    spec = FlowSpec(k=1, method="exact", t_final=0.5, dt=0.1)
-    traj = evolve(S, spec)
-    streamed = flows.evolve_streamed(S, spec)
-    assert np.isnan(streamed.sum_rho_drift).all()
-    assert _text(streamed.to_csv) == _text(traj.to_csv)
-    np.testing.assert_array_equal(streamed.sum_rho_drift, traj.sum_rho_drift)
-    np.testing.assert_array_equal(streamed.spectrum_drift, traj.spectrum_drift)
-    # the blocks are spent: a second writer gets no rows
-    assert _text(streamed.to_csv).count("\n") == 1
-    with pytest.raises(DomainViolation, match="exact"):
-        flows.evolve_streamed(S, FlowSpec(k=1, method="rk4-lax", t_final=0.5, dt=0.1))
+    traj = evolve(S, FlowSpec(k=1, method="exact", t_final=0.5, dt=0.1))
+    csv_text = _text(oracles.trajectory_csv, traj)
+    payload = traj.to_payload()
+    assert _text(traj.to_csv) == csv_text
+    assert _text(dump_json, payload) == _text(oracles.dump_json, payload)
+    assert _text(traj.to_csv) == csv_text
+
+
+@pytest.mark.parametrize("rho, head", [(1.0, 2), (1.0 - 4e-11, 1)])
+def test_one_site_exact_residue_joins_the_head(rho, head):
+    # at n = 1 every row after row 0 holds x / x = 1.0, so a residue of
+    # exactly 1.0 is printed once with the pole
+    S = SpectralData(z=np.array([0.7]), rho=np.array([rho]))
+    traj = evolve(S, FlowSpec(k=1, method="exact", t_final=0.5, dt=0.1))
+    assert traj.rows.head.size == head and traj.rows.width == 2 - head
+    np.testing.assert_array_equal(traj.states[:, 0], 0.7)
+    np.testing.assert_array_equal(traj.states[1:, 1], 1.0)
+    assert traj.states[0, 1] == rho
+    assert _text(traj.to_csv) == _text(oracles.trajectory_csv, traj)
+    payload = traj.to_payload()
+    assert _text(dump_json, payload) == _text(oracles.dump_json, payload)
