@@ -6,9 +6,6 @@ propagation (closed-form spectral and RK4), and Darboux charts with
 machine-checkable canonicality.
 """
 
-import hashlib
-import json
-
 from .errors import (
     CoincidentPoints,
     CoincidentPoles,
@@ -105,7 +102,9 @@ __version__ = "0.1.0"
 
 # Orientation and normalization choices this package commits to. The hash
 # rides along in serialized envelopes so states are never mixed across
-# incompatible conventions.
+# incompatible conventions. conventions_hash() returns a pinned constant, the
+# first 12 hex digits of the SHA-256 of json.dumps(CONVENTIONS,
+# sort_keys=True); a test recomputes it, so an edit here must update it.
 CONVENTIONS = {
     "flaschka": "v_k = -p_k; c_k = exp((q_k - q_{k+1})/2)",
     "weyl": "chi(z) = sum_k rho_k/(z_k - z) = ((L - z)^{-1})_{00}",
@@ -121,5 +120,4 @@ CONVENTIONS = {
 
 
 def conventions_hash():
-    blob = json.dumps(CONVENTIONS, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    return "7ec3712b8d37"

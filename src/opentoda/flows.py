@@ -48,10 +48,11 @@ _EXACT_BLOCK = 1 << 14
 
 
 def _step_count(t_final, dt):
-    """Number of dt steps from 0 to t_final, the last one possibly shortened;
-    DomainViolation unless dt > 0, 0 <= t_final < inf and the count <= MAX_STEPS."""
-    if not dt > 0:
-        raise DomainViolation("dt must be positive")
+    """Number of dt steps from 0 to t_final, the last one possibly shortened,
+    and at least one when t_final > 0; DomainViolation unless 0 < dt < inf,
+    0 <= t_final < inf and the count <= MAX_STEPS."""
+    if not 0 < dt < np.inf:
+        raise DomainViolation("dt must be positive and finite")
     if not np.isfinite(t_final) or t_final < 0:
         raise DomainViolation("t_final must be finite and >= 0")
     if t_final == 0:
@@ -60,8 +61,9 @@ def _step_count(t_final, dt):
     if not ratio <= MAX_STEPS:
         raise DomainViolation(f"t_final / dt asks for more than MAX_STEPS = {MAX_STEPS} steps")
     # rounding t_final, dt and their quotient puts a ratio meant to be an
-    # integer up to about 3 ulps above it; that excess asks for no step
-    return int(np.ceil(ratio - 4 * np.spacing(ratio)))
+    # integer up to about 3 ulps above it; that excess asks for no step. A
+    # ratio that underflows to (or near) 0 still takes the one step to t_final
+    return max(1, int(np.ceil(ratio - 4 * np.spacing(ratio))))
 
 
 def _time_grid(t_final, dt, record_every):

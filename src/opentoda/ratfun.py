@@ -3,12 +3,13 @@
 Polynomials are plain 1-D numpy arrays of coefficients in ascending degree
 order; numpy.polynomial.polynomial supplies evaluation, products and the
 companion-matrix root finder, with a Newton polish and validation layer on top.
+numpy.polynomial is imported on first use, inside the functions that call it,
+so a process that never evaluates or roots a polynomial does not load it.
 Rational functions are numerator/denominator pairs; partial_fractions reads
 off their poles and residues.
 """
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
 
 from .errors import (
     DomainViolation,
@@ -48,12 +49,16 @@ def poly_degree(P):
 
 def poly_eval(P, x):
     """Evaluate P at x (scalar or array, real or complex)."""
+    from numpy.polynomial import polynomial as npp
+
     c = np.atleast_1d(np.asarray(P))
     return npp.polyval(x, c)
 
 
 def poly_from_roots(roots, leading=1.0):
     """leading * prod(z - r) as a coefficient array."""
+    from numpy.polynomial import polynomial as npp
+
     if leading == 0.0:
         raise DomainViolation("leading coefficient must be nonzero")
     r = np.asarray(roots, dtype=float)
@@ -64,6 +69,8 @@ def poly_from_roots(roots, leading=1.0):
 
 def poly_derivative(P):
     """Coefficientwise derivative."""
+    from numpy.polynomial import polynomial as npp
+
     c = poly_trim(P)
     if c.size == 1:
         return np.zeros(1)
@@ -72,6 +79,8 @@ def poly_derivative(P):
 
 def _eval_scale(P, x):
     # magnitude of the evaluation ignoring cancellation: sum |c_i| |x|^i
+    from numpy.polynomial import polynomial as npp
+
     c = np.abs(np.atleast_1d(np.asarray(P, dtype=float)))
     return float(npp.polyval(abs(x), c))
 
@@ -84,6 +93,8 @@ def poly_real_roots(P):
     when two roots are not separated, or when the polished value fails the
     residual bound |P(root)| <= 1e-9 * scale.
     """
+    from numpy.polynomial import polynomial as npp
+
     c = poly_trim(P)
     deg = poly_degree(c)
     if deg <= 0:
@@ -152,6 +163,8 @@ def partial_fractions(R):
     Raises MultiplePole when two denominator roots coincide within 1e-12
     relative.
     """
+    from numpy.polynomial import polynomial as npp
+
     dn, dd = R.degrees
     if dn >= dd:
         raise DomainViolation("partial fractions need deg num < deg den")

@@ -1,11 +1,14 @@
 """Command line front end: envelopes, exit codes, formats, determinism."""
 
+import hashlib
 import io
 import json
 import os
 import runpy
 import subprocess
 import sys
+import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 
 import opentoda
 from opentoda import (
+    CONVENTIONS,
     JacobiMatrix,
     PhasePoint,
     SpectralData,
@@ -290,6 +294,27 @@ def test_evolve_bad_spec(tmp_path, capsys):
         rc, _, err = run(["evolve", path] + argv, capsys)
         assert rc == 2
         assert "error:" in err
+
+
+@pytest.mark.parametrize("method", ["exact", "rk4-lax", "rk4-hamiltonian"])
+def test_evolve_dt_not_finite_exit_2(tmp_path, capsys, method):
+    path = write_envelope(tmp_path, worked_spectral())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run(["evolve", path, "--method", method, "--dt", "inf"], capsys)
+    assert rc == 2 and out == ""
+    assert "error: dt must be positive and finite" in err
+    assert caught == []
+
+
+@pytest.mark.parametrize("method", ["exact", "rk4-lax"])
+def test_evolve_underflowing_step_ratio_ends_on_t(tmp_path, capsys, method):
+    # t / dt underflows to 0; the run still takes its one step to t
+    path = write_envelope(tmp_path, worked_spectral())
+    rc, out, _ = run(["evolve", path, "--method", method, "--t", "1e-320", "--dt", "1e10"], capsys)
+    assert rc == 0
+    rows = out.splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 1e-320]
 
 
 def test_evolve_bad_record_every(tmp_path, capsys):
@@ -583,3 +608,51 @@ def test_verify_large_n_exits_2():
     )
     assert proc.returncode == 2 and proc.stdout == ""
     assert "error: 15 poles in [0.5, 6.0] cannot be spaced 0.4 apart" in proc.stderr
+
+
+def test_conventions_hash_is_sha256_of_conventions():
+    # the hash is a pinned constant, so that no process loads OpenSSL for it;
+    # an edit to CONVENTIONS must update it
+    blob = json.dumps(CONVENTIONS, sort_keys=True).encode()
+    assert conventions_hash() == hashlib.sha256(blob).hexdigest()[:12] == "7ec3712b8d37"
+
+
+_STARTUP_PROBE = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+
+    import numpy
+
+    watched = ("hashlib", "_hashlib", "numpy.polynomial")
+    # numpy 1.x loads numpy.polynomial itself; only what opentoda adds counts
+    preloaded = {name for name in watched if name in sys.modules}
+    from opentoda import cli
+
+    for argv in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0, argv
+    print(json.dumps(sorted(set(watched) & set(sys.modules) - preloaded)))
+    """
+)
+
+
+def test_commands_load_neither_hashlib_nor_numpy_polynomial(tmp_path):
+    jacobi = write_envelope(tmp_path, JacobiMatrix(v=np.array([0.5, -0.2, 0.1]), c=np.array([1.0, 0.7])))
+    spectral = write_envelope(tmp_path, worked_spectral(), name="spectral.json")
+    flow = ["--t", "0.01", "--dt", "0.005"]
+    commands = [
+        ["transform", jacobi],
+        ["transform", spectral, "--direction", "inverse"],
+        ["bracket", spectral, "--p", "2", "--q", "3"],
+        ["evolve", spectral, "--method", "exact", *flow],
+        ["evolve", jacobi, "--method", "rk4-lax", "--k", "2", *flow],
+        ["evolve", jacobi, "--method", "rk4-hamiltonian", "--k", "2", "--p", "1", *flow],
+    ]
+    src = str(Path(opentoda.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(commands)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -41,8 +41,9 @@ def test_flow_spec_validation():
         FlowSpec(k=0, method="exact", t_final=1.0)
     with pytest.raises(DomainViolation):
         FlowSpec(k=1, method="euler", t_final=1.0)
-    with pytest.raises(DomainViolation):
-        FlowSpec(k=1, method="exact", t_final=1.0, dt=0.0)
+    for dt in (0.0, np.inf, np.nan):
+        with pytest.raises(DomainViolation):
+            FlowSpec(k=1, method="exact", t_final=1.0, dt=dt)
     with pytest.raises(DomainViolation):
         FlowSpec(k=1, method="rk4-hamiltonian", t_final=1.0, p=2)
 
@@ -279,6 +280,12 @@ def test_time_grid_ends_once_on_t_final():
             assert times[-1] == t_final, (t_final, dt)
     for t_final, dt, nsteps in ((10.0, 1e-3, 10**4), (10.0, 5e-3, 2000), (0.2, 1e-3, 200)):
         assert flows._step_count(t_final, dt) == nsteps
+    # a t_final / dt that underflows to 0, or to a subnormal within the
+    # slack, still takes one step to t_final
+    for t_final, dt in ((1e-320, 1e10), (5e-324, 1.0), (1e-300, 1e10)):
+        assert flows._step_count(t_final, dt) == 1
+        assert flows._time_grid(t_final, dt, 1)[2].tolist() == [0.0, t_final]
+    assert flows._step_count(0.0, 1e10) == 0
 
 
 def test_rk4_last_step_lands_on_t_final():
