@@ -39,7 +39,6 @@ from .tridiag import (
     flaschka,
     pq_polynomials,
     trace_power,
-    truncated_charpoly,
     unflaschka,
 )
 from .spectral import (

@@ -352,7 +352,8 @@ def zrho_tensor(f, n):
 
 
 def zrho_restricted_tensor(f, n):
-    """Bracket restricted to the normalized class, in z-rho coordinates.
+    """Bracket restricted to the normalized class, in z-rho coordinates:
+    the tensor of zrho_tensor plus a closed-form correction.
 
     The z-z block stays zero; the rho-z block picks up -f(z_m) rho_k rho_m/q0,
     and the rho-rho block the antisymmetric correction built from the row sums
@@ -361,25 +362,25 @@ def zrho_restricted_tensor(f, n):
     This is exactly the Dirac reduction of zrho_tensor by the constraint pair
     (action_sum, neg_log_mass), in closed form.
     """
+    base = zrho_tensor(f, n)
+    eye = np.eye(n, dtype=bool)
 
     def tensor(x):
+        T = base.tensor(x)
         z, rho = zrho_unpack(x, n)
-        dz = _pairwise_dz(z)
         fz = np.asarray(f(z), dtype=float)
         q0 = float(np.sum(rho))
-        M = np.zeros((2 * n, 2 * n))
-        M[n:, :n] = np.diag(rho * fz) - np.outer(rho, rho * fz) / q0
-        fsum = fz[:, None] + fz[None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            B = fsum * np.outer(rho, rho) / dz
-            G = fsum * rho[None, :] / dz
-        eye = np.eye(n, dtype=bool)
-        B[eye] = 0.0
-        G[eye] = 0.0
-        Srow = G.sum(axis=1)
-        B = B + np.outer(rho, rho) * (Srow[None, :] - Srow[:, None]) / q0
-        M[n:, n:] = np.triu(B, 1)
-        return M - M.T
+        # the terms of S_k are T's rho-rho entries over rho_k; formed from z
+        # and rho, they keep every bit of the tensor. base.tensor has
+        # checked that the poles are distinct
+        dz = z[None, :] - z[:, None]
+        dz[eye] = np.inf
+        S = np.sum((fz[:, None] + fz[None, :]) * rho[None, :] / dz, axis=1)
+        rz = np.outer(rho, rho * fz) / q0
+        T[n:, :n] -= rz
+        T[:n, n:] += rz.T
+        T[n:, n:] += np.outer(rho, rho) * (S[None, :] - S[:, None]) / q0
+        return T
 
     return PoissonStructure(name="zrho_restricted", tensor_fn=tensor)
 

@@ -24,7 +24,16 @@ from .brackets import (
     zrho_restricted_tensor,
     zrho_tensor,
 )
-from .errors import ConvergenceFailure, NonFiniteState, OverflowGuard, TodaError
+from .errors import (
+    ConstraintBracketNotUnit,
+    ConvergenceFailure,
+    MultiplePole,
+    NonFiniteState,
+    NonRealOrMultipleRoots,
+    OverflowGuard,
+    StructureViolation,
+    TodaError,
+)
 from .flows import (
     _METHODS,
     FlowSpec,
@@ -64,7 +73,16 @@ from .spectral import (
 )
 from .tridiag import JacobiMatrix, PhasePoint, unflaschka
 
-_BLOWUP = (OverflowGuard, NonFiniteState, ConvergenceFailure)
+# numerical failures on valid input: exit 3, where every other TodaError exits 2
+_BLOWUP = (
+    OverflowGuard,
+    NonFiniteState,
+    ConvergenceFailure,
+    NonRealOrMultipleRoots,
+    MultiplePole,
+    StructureViolation,
+    ConstraintBracketNotUnit,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +113,8 @@ def parse_envelope(doc):
     # a JSON integer only: int() would truncate 2.7, parse "2" and read true as 1
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"malformed envelope: n must be an integer, not {n!r}")
+    if n < 1:
+        raise ValueError(f"malformed envelope: n must be at least 1, not {n}")
     if not isinstance(payload, dict):
         raise ValueError("malformed envelope: payload must be an object")
     meta = doc.get("meta")
@@ -420,6 +440,9 @@ _SUITES = {
 def cmd_verify(args):
     if args.n < 1 or args.trials < 1:
         raise ValueError("--n and --trials must be at least 1")
+    # trial sizes cycle through 1..n (roundtrip) and 2..n (the other suites)
+    if args.trials < args.n:
+        raise ValueError(f"--n {args.n} needs --trials {args.n} or more to reach size {args.n}")
     rng = np.random.default_rng(args.seed)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     properties = []
@@ -542,7 +565,7 @@ def main(argv=None):
     except _BLOWUP as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return 3
-    except (TodaError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (TodaError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

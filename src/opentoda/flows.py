@@ -13,6 +13,7 @@ holds its frozen poles once and evaluates its residues a block at a time
 whenever its rows are read.
 """
 
+import collections
 from dataclasses import dataclass
 
 import numpy as np
@@ -320,7 +321,7 @@ def exact_flow(S, k, t):
 # trajectories
 
 def _check_kind(kind):
-    if kind not in ("spectral", "jacobi", "raw"):
+    if kind not in ("jacobi", "raw"):
         raise DomainViolation(f"unknown trajectory kind {kind!r}")
 
 
@@ -358,17 +359,18 @@ class Trajectory:
     Its rows are a RowBlocks. Trajectory.build keeps an array of states as
     one block with an empty head. evolve's exact method keeps the frozen
     poles as the head and residue blocks that are evaluated again whenever
-    the rows are read, so writing a run of any length holds one block of
-    rows; states and final_state assemble every row and refuse more than
-    MAX_ENTRIES doubles.
+    the rows are read, so writing a run of any length, or reading its
+    final_state, holds one block of rows; states assembles every row and
+    refuses more than MAX_ENTRIES doubles.
 
-    Spectral rows carry their eigenvalues and residues. For jacobi rows the
+    Trajectory.build takes jacobi and raw rows. For jacobi rows the
     eigenvalues come from tridiag._eigenvalues, one row at a time so memory
     stays flat, and sum_rho_drift is 0: the residues are the squares of the
     first row of an orthonormal eigenvector matrix, which sum to
     |e_0|^2 = 1. Rows whose diagnostics cannot be evaluated (blown-up
-    states) carry NaN in both; raw rows carry 0 in both. Any other kind
-    raises DomainViolation.
+    states) carry NaN in both; raw rows carry 0 in both. Any other kind,
+    spectral included, raises DomainViolation: spectral rows come only from
+    evolve's exact method, with the diagnostics evolve documents.
     """
 
     kind: str
@@ -388,13 +390,7 @@ class Trajectory:
             raise DomainViolation("a trajectory needs at least one row")
         sr = np.zeros(m)
         sd = np.zeros(m)
-        if kind == "spectral":
-            mass = states[:, n:].sum(axis=1)
-            sr = np.abs(mass - mass[0])
-            # a running maximum over the columns makes no rows x n temporary
-            for z in states[:, :n].T:
-                np.maximum(sd, np.abs(z - z[0]), out=sd)
-        elif kind == "jacobi":
+        if kind == "jacobi":
             z0 = None
             for i in range(m):
                 try:
@@ -425,7 +421,10 @@ class Trajectory:
 
     @property
     def final_state(self):
-        return self.states[-1]
+        """The last row: the head and the last row of the last block, which
+        is the only block kept."""
+        (block,) = collections.deque(self.rows.blocks, maxlen=1)
+        return np.concatenate([self.rows.head, block[-1]])
 
     @property
     def field_names(self):

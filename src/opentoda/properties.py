@@ -54,7 +54,7 @@ from .spectral import (
     weyl_eval,
     weyl_rat,
 )
-from .tridiag import JacobiMatrix, PhasePoint, flaschka, pq_polynomials, truncated_charpoly
+from .tridiag import JacobiMatrix, PhasePoint, flaschka, pq_polynomials
 
 # Largest residual each property of `toda verify` accepts, by property name.
 TOL = {
@@ -181,10 +181,10 @@ def cv_casimir(p, n):
     """The Casimir of pi_p in the c-v chart as an Observable with its exact
     gradient: tr L for p = 0, det L for p = 1, tr L^{-1} for p = 2.
 
-    d det L / dv_i is the product of the determinants of the leading block
-    before i and the trailing block after it; d det L / dc_i is -2 c_i times
-    the blocks before i and after i + 1 (an empty block has determinant 1).
-    d tr L^{-1} = -tr(L^{-2} dL).
+    d det L / dv_i = D_i E_{i+1} and d det L / dc_i = -2 c_i D_i E_{i+2},
+    with D_i = det L[:i] the leading minors, from one forward recurrence,
+    and E_i = det L[i:] the trailing minors, from one backward recurrence
+    (an empty block has determinant 1). d tr L^{-1} = -tr(L^{-2} dL).
     """
 
     def jacobi(x):
@@ -196,13 +196,15 @@ def cv_casimir(p, n):
     if p == 1:
 
         def det_grad(x):
-            J = jacobi(x)
-
-            def minor(k, last):
-                return truncated_charpoly(J, k, last, 0.0)
-
-            dv = [minor(0, i - 1) * minor(i + 1, n - 1) for i in range(n)]
-            dc = [-2.0 * J.c[i] * minor(0, i - 1) * minor(i + 2, n - 1) for i in range(n - 1)]
+            v, c = x[:n].tolist(), x[n:].tolist()
+            D = [1.0, v[0]]
+            for i in range(1, n):
+                D.append(v[i] * D[i] - c[i - 1] * c[i - 1] * D[i - 1])
+            E = [0.0] * (n - 1) + [v[-1], 1.0]
+            for i in range(n - 2, -1, -1):
+                E[i] = v[i] * E[i + 1] - c[i] * c[i] * E[i + 2]
+            dv = [D[i] * E[i + 1] for i in range(n)]
+            dc = [-2.0 * c[i] * D[i] * E[i + 2] for i in range(n - 1)]
             return np.array(dv + dc)
 
         return Observable(lambda x: float(np.linalg.det(jacobi(x).to_dense())), grad=det_grad)

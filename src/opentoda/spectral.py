@@ -21,7 +21,7 @@ from .errors import (
     PoleEvaluation,
 )
 from .ratfun import Rat, poly_from_roots, poly_real_roots
-from .tridiag import JacobiMatrix, PhasePoint, eigen, flaschka
+from .tridiag import JacobiMatrix, PhasePoint, _as_finite_1d, eigen, flaschka
 
 
 @dataclass(frozen=True)
@@ -37,12 +37,10 @@ class SpectralData:
     rho: np.ndarray
 
     def __post_init__(self):
-        z = np.atleast_1d(np.asarray(self.z, dtype=float)).copy()
-        rho = np.atleast_1d(np.asarray(self.rho, dtype=float)).copy()
-        if z.ndim != 1 or z.size < 1 or z.size != rho.size:
-            raise DomainViolation("z and rho must be 1-D of equal length N >= 1")
-        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(rho))):
-            raise DomainViolation("z and rho must be finite")
+        z = _as_finite_1d(self.z, "z")
+        rho = _as_finite_1d(self.rho, "rho")
+        if z.size < 1 or z.size != rho.size:
+            raise DomainViolation("z and rho must have equal length N >= 1")
         if z.size > 1 and np.any(np.diff(z) <= 0):
             raise CoincidentPoles("z must be strictly increasing")
         object.__setattr__(self, "z", z)

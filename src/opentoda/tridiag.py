@@ -215,24 +215,6 @@ def eigen(J):
     return z, np.exp(0.5 * log_rho)
 
 
-def truncated_charpoly(J, k, p, z):
-    """det(L_[k,p] - z I) by the three-term determinant recurrence.
-
-    The empty window k > p returns 1 (empty-product determinant), which seeds
-    the recurrence. Accepts real or complex z.
-    """
-    if k > p:
-        return 1.0
-    if k < 0 or p > J.n - 1:
-        raise IndexError("window outside the matrix")
-    v, c = J.v, J.c
-    dm2 = 1.0
-    dm1 = v[k] - z
-    for j in range(k + 1, p + 1):
-        dm2, dm1 = dm1, (v[j] - z) * dm1 - c[j - 1] ** 2 * dm2
-    return dm1
-
-
 def pq_polynomials(J, z):
     """The two solutions of the three-term recurrence evaluated at z.
 

@@ -72,6 +72,10 @@ def test_envelope_errors():
         parse_envelope({"kind": "spectral", "n": 2, "payload": {"z": [0.0, 1.0]}})
     with pytest.raises(ValueError, match="length 2"):
         parse_envelope({"kind": "phase", "n": 2, "payload": {"q": [0.0], "p": [0.0]}})
+    for kind in ("phase", "jacobi", "spectral"):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"malformed envelope: n must be at least 1, not {n}"):
+                parse_envelope({"kind": kind, "n": n, "payload": {}})
     with pytest.raises(TypeError):
         make_envelope(object())
 
@@ -107,8 +111,9 @@ def test_envelope_payload_not_an_object(tmp_path, capsys):
         '{"kind": "phase", "n": 2.7, "payload": {"q": [0, 0], "p": [0, 0]}}',
         '{"kind": "phase", "n": "2", "payload": {"q": [0, 0], "p": [0, 0]}}',
         '{"kind": "jacobi", "n": true, "payload": {"v": [1.0], "c": []}}',
+        '{"kind": "jacobi", "n": 0, "payload": {"v": [], "c": []}}',
     ],
-    ids=["object-field", "overflowing-n", "fractional-n", "string-n", "bool-n"],
+    ids=["object-field", "overflowing-n", "fractional-n", "string-n", "bool-n", "zero-n"],
 )
 def test_envelope_malformed_values_exit_2(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
@@ -503,6 +508,40 @@ def test_verify_refuses_sizes_below_one(capsys, flag, value):
     assert "at least 1" in err
 
 
+def test_verify_refuses_trials_below_n(capsys):
+    # with fewer trials the largest sizes are never drawn, and reports for
+    # different n would differ only in "n"
+    rc, out, err = run(["verify", "--n", "8", "--trials", "4"], capsys)
+    assert rc == 2 and out == ""
+    assert "error: --n 8 needs --trials 8 or more" in err
+
+
+def test_verify_numerical_failure_exits_3(capsys):
+    # the polynomial routes of weyl_three_routes meet complex roots by size 40
+    rc, out, err = run(["verify", "--suite", "roundtrip", "--n", "40", "--trials", "40"], capsys)
+    assert rc == 3 and out == ""
+    assert err.startswith("blow-up: complex roots")
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        opentoda.NonRealOrMultipleRoots,
+        opentoda.MultiplePole,
+        opentoda.StructureViolation,
+        opentoda.ConstraintBracketNotUnit,
+    ],
+)
+def test_verify_suite_blowups_exit_3(capsys, monkeypatch, error):
+    def suite(rng, n, trials):
+        raise error("numerical failure")
+
+    monkeypatch.setitem(cli._SUITES, "casimirs", suite)
+    rc, out, err = run(["verify", "--suite", "casimirs", "--n", "2", "--trials", "2"], capsys)
+    assert rc == 3 and out == ""
+    assert err == "blow-up: numerical failure\n"
+
+
 def test_evolve_step_budget(tmp_path, capsys):
     path = write_envelope(tmp_path, worked_spectral())
     for method in ("exact", "rk4-lax"):
@@ -537,7 +576,7 @@ def test_rand_spectral_is_distributed_like_rejection(n, positive, min_gap, rho_f
 
 
 def test_verify_reports_the_shared_tolerances(capsys, monkeypatch):
-    rc, out, _ = run(["verify", "--suite", "all", "--n", "3", "--trials", "2"], capsys)
+    rc, out, _ = run(["verify", "--suite", "all", "--n", "3", "--trials", "3"], capsys)
     assert rc == 0
     reported = {r["property"]: r["tol"] for r in json.loads(out)["properties"]}
     assert reported == TOL

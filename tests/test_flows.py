@@ -332,8 +332,10 @@ def test_rk4_refuses_a_kind_before_the_first_step():
         calls.append(1)
         return -x
 
-    with pytest.raises(DomainViolation):
-        rk4(field, np.ones(4), 1e-5, 2.0, kind="phase", n=2)
+    # spectral rows come only from evolve's exact method
+    for kind in ("phase", "spectral"):
+        with pytest.raises(DomainViolation):
+            rk4(field, np.ones(4), 1e-5, 2.0, kind=kind, n=2)
     assert not calls
 
 
@@ -413,8 +415,9 @@ def test_trajectory_diagnostics_match_direct_transform(rng):
 
 
 def test_trajectory_build_refuses_unknown_kinds():
-    # phase rows are never recorded; an unknown kind is not read as one
-    for kind in ("phase", "cv", None):
+    # phase rows are never recorded, spectral rows only by evolve's exact
+    # method; an unknown kind is not read as one
+    for kind in ("phase", "spectral", "cv", None):
         with pytest.raises(DomainViolation):
             Trajectory.build(kind, 1, [0.0], [[2.0]])
     # a trajectory has at least one row, which its JSON writer relies on
@@ -567,16 +570,13 @@ def test_exact_flow_refuses_a_zero_residue():
     assert evolve(S, FlowSpec(k=1, method="exact", t_final=1.0, dt=0.5)).states[-1, 2] > 0.0
 
 
-def test_spectral_diagnostics_match_row_loop(rng):
-    for n in (1, 5, 513):
-        S = random_spectral(rng, n, min_gap=0.0)
-        states = np.concatenate([S.z, S.rho]) + rng.normal(scale=1e-3, size=(6, 2 * n))
-        states[2, 0] = np.nan
-        states[3, -1] = np.inf
-        states[4, n - 1] = -np.inf
-        for rows in (states, states[2:], states[:1]):
-            traj = Trajectory.build("spectral", n, np.arange(len(rows)), rows)
-            sr, sd = spectral_drifts(n, rows)
-            # bit for bit, NaNs included
-            np.testing.assert_array_equal(traj.sum_rho_drift.view(np.uint64), sr.view(np.uint64))
-            np.testing.assert_array_equal(traj.spectrum_drift.view(np.uint64), sd.view(np.uint64))
+def test_exact_final_state_holds_one_block(rng, monkeypatch):
+    S = random_spectral(rng, 5, min_gap=0.0)
+    # 7001 rows: several blocks of residues
+    traj = evolve(S, FlowSpec(k=2, method="exact", t_final=0.7, dt=1e-4))
+    assert traj.times.size > 2 * (flows._EXACT_BLOCK // S.n)
+    monkeypatch.setattr(flows, "MAX_ENTRIES", traj.times.size * 2 * S.n - 1)
+    with pytest.raises(DomainViolation, match="MAX_ENTRIES"):
+        traj.states
+    want = np.concatenate([S.z, exact_flow(S, 2, 0.7).rho])
+    np.testing.assert_array_equal(traj.final_state, want)

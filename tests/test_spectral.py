@@ -46,6 +46,10 @@ def test_spectral_data_validation():
         SpectralData(z=np.array([-1.0, 1.0]), rho=np.array([0.5]))
     with pytest.raises(DomainViolation):
         SpectralData(z=np.array([-1.0, np.inf]), rho=np.array([0.5, 0.5]))
+    # the shape and finiteness checks of tridiag._as_finite_1d
+    for z, rho in (([[-1.0, 1.0]], [[0.5, 0.5]]), ([], []), ([-1.0, 1.0], [0.5, np.nan])):
+        with pytest.raises(DomainViolation):
+            SpectralData(z=np.array(z), rho=np.array(rho))
     # sign-indefinite residues are legal at construction; they only lose
     # membership in the normalized class
     S = SpectralData(z=np.array([-1.0, 1.0]), rho=np.array([0.5, -0.5]))

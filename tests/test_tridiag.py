@@ -14,7 +14,6 @@ from opentoda import (
     flaschka,
     pq_polynomials,
     trace_power,
-    truncated_charpoly,
     unflaschka,
 )
 
@@ -194,19 +193,6 @@ def test_power_bands_match_dense_power(rng):
                 rows = np.arange(max(0, -d), min(n, n - d))
                 want[rows] = D[rows, rows + d]
                 assert np.max(np.abs(P[k + d] - want)) <= 1e-13 * scale
-
-
-def test_truncated_charpoly_matches_dense(rng):
-    J = random_jacobi(rng, 5)
-    L = J.to_dense()
-    for k, p in [(0, 4), (1, 3), (2, 2), (3, 2)]:
-        for z in (-1.3, 0.0, 2.2):
-            want = 1.0 if k > p else np.linalg.det(L[k : p + 1, k : p + 1] - z * np.eye(p - k + 1))
-            assert truncated_charpoly(J, k, p, z) == pytest.approx(want, rel=1e-10, abs=1e-12)
-    with pytest.raises(IndexError):
-        truncated_charpoly(J, -1, 2, 0.0)
-    with pytest.raises(IndexError):
-        truncated_charpoly(J, 0, 5, 0.0)
 
 
 def test_pq_recurrence_definition(rng):

@@ -32,8 +32,8 @@ def _trajectories(rng):
     lax = evolve(J, FlowSpec(k=2, method="rk4-lax", t_final=0.05, dt=0.01))
     return [
         exact,
-        Trajectory.build("spectral", 3, exact.times, odd),
-        Trajectory.build("spectral", 1, [0.0, 1.0], [[0.5, 1.0], [0.5, 1.0]]),
+        Trajectory.build("raw", 6, exact.times, odd),
+        evolve(SpectralData(z=[0.5], rho=[1.0]), FlowSpec(k=1, method="exact", t_final=1.0, dt=1.0)),
         Trajectory.build("raw", 2, [0.0, 0.1], [[1.0, -2.0], [np.nan, np.inf]]),
         lax,
         Trajectory.build("jacobi", 1, [0.0], [[2.0]]),
