@@ -16,6 +16,7 @@ from .errors import (
     NonFiniteState,
     NonRealOrMultipleRoots,
     NotInRatNPrime,
+    NumericalFailure,
     OverflowGuard,
     PoleEvaluation,
     ResidueUnderflow,

@@ -271,6 +271,14 @@ def _check_points(S, p, q):
         raise CoincidentPoints("p and q must avoid the poles")
 
 
+def _restricted_mass(S):
+    """The mass q0 = sum(rho) that the restricted bracket divides by."""
+    q0 = float(np.sum(S.rho))
+    if q0 == 0:
+        raise DomainViolation("the restricted bracket needs sum(rho) != 0")
+    return q0
+
+
 def bracket_terms(S, p, q, f, restricted=False):
     """Per-pole contributions to the contour bracket at (p, q).
 
@@ -284,7 +292,7 @@ def bracket_terms(S, p, q, f, restricted=False):
     fz = f(S.z)
     terms = S.rho * fz * (chi_p - chi_q) / ((S.z - p) * (S.z - q))
     if restricted:
-        q0 = float(np.sum(S.rho))
+        q0 = _restricted_mass(S)
         corr = S.rho * fz * (1.0 / (S.z - p) - 1.0 / (S.z - q)) * chi_p * chi_q / q0
         terms = terms - corr
     return terms
@@ -316,7 +324,7 @@ def closed_form_bracket(S, p, q, f, restricted=False):
     lead = (chi_p - chi_q) if f.power_n == 0 else (p * chi_p - q * chi_q)
     second = (chi_p - chi_q) / (p - q)
     if restricted:
-        second = second - chi_p * chi_q / float(np.sum(S.rho))
+        second = second - chi_p * chi_q / _restricted_mass(S)
     return lead * second
 
 

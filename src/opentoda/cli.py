@@ -2,8 +2,8 @@
 
 States travel as JSON envelopes {"kind", "n", "payload", "meta"} with kind
 one of phase | jacobi | spectral. Exit codes: 0 success, 1 failed property,
-2 input validation, 3 numerical blow-up. Reports are byte-deterministic
-under a fixed --seed.
+2 input validation (any other TodaError), 3 numerical blow-up (any
+errors.NumericalFailure). Reports are byte-deterministic under a fixed --seed.
 """
 
 import argparse
@@ -24,16 +24,7 @@ from .brackets import (
     zrho_restricted_tensor,
     zrho_tensor,
 )
-from .errors import (
-    ConstraintBracketNotUnit,
-    ConvergenceFailure,
-    MultiplePole,
-    NonFiniteState,
-    NonRealOrMultipleRoots,
-    OverflowGuard,
-    StructureViolation,
-    TodaError,
-)
+from .errors import NumericalFailure, OverflowGuard, TodaError
 from .flows import (
     _METHODS,
     FlowSpec,
@@ -65,6 +56,7 @@ from .properties import (
 )
 from .spectral import (
     SpectralData,
+    _require_normalized,
     direct_transform,
     inverse_transform,
     inverse_transform_stieltjes,
@@ -72,17 +64,6 @@ from .spectral import (
     to_spectral,
 )
 from .tridiag import JacobiMatrix, PhasePoint, unflaschka
-
-# numerical failures on valid input: exit 3, where every other TodaError exits 2
-_BLOWUP = (
-    OverflowGuard,
-    NonFiniteState,
-    ConvergenceFailure,
-    NonRealOrMultipleRoots,
-    MultiplePole,
-    StructureViolation,
-    ConstraintBracketNotUnit,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +192,10 @@ def dump_json(doc, stream):
 
 def cmd_transform(args):
     obj = parse_envelope(load_envelope(args.input))
+    # the transforms act on the normalized class, also where spectral data
+    # would only be written back
+    if isinstance(obj, SpectralData):
+        _require_normalized(obj)
     target = args.to
     if target is None:
         target = "spectral" if args.direction == "forward" else "jacobi"
@@ -562,7 +547,7 @@ def main(argv=None):
         if args.config:
             args = parser.parse_args(_with_config(args, argv))
         return args.fn(args)
-    except _BLOWUP as exc:
+    except NumericalFailure as exc:
         print(f"blow-up: {exc}", file=sys.stderr)
         return 3
     except (TodaError, ValueError, OSError) as exc:

@@ -1,8 +1,9 @@
 """Exception taxonomy for the library.
 
 Every failure mode raised by the package derives from TodaError, so callers can
-catch one base class. The CLI maps subclasses onto exit codes: validation
-problems exit 2, numerical blow-ups exit 3.
+catch one base class. The class decides the CLI's exit code: a
+NumericalFailure (a numerical failure on valid input) exits 3, and every other
+TodaError (the input is outside the operation's domain) exits 2.
 """
 
 
@@ -10,15 +11,20 @@ class TodaError(Exception):
     """Base class for all library errors."""
 
 
-class NonRealOrMultipleRoots(TodaError):
+class NumericalFailure(TodaError):
+    """A numerical failure on valid input; the CLI exits 3."""
+
+
+class NonRealOrMultipleRoots(NumericalFailure):
     """Root finding produced complex or coincident roots where simple real ones are required."""
 
 
-class MultiplePole(TodaError):
-    """Two poles of a rational function coincide within tolerance."""
+class MultiplePole(NumericalFailure):
+    """Two poles of a rational function coincide within tolerance, or the
+    eigenvalues of a Jacobi matrix lie closer together than their accuracy."""
 
 
-class ConvergenceFailure(TodaError):
+class ConvergenceFailure(NumericalFailure):
     """An iterative kernel hit its iteration cap; the input is degenerate or invalid."""
 
 
@@ -42,19 +48,20 @@ class CoincidentPoles(TodaError):
     """Spectral data with non-distinct (or non-increasing) pole locations."""
 
 
-class ConstraintBracketNotUnit(TodaError):
+class ConstraintBracketNotUnit(NumericalFailure):
     """Dirac reduction requires {Phi1, Phi2} = 1 at the evaluation state."""
 
 
-class StructureViolation(TodaError):
+class StructureViolation(NumericalFailure):
     """A Lax commutator left the symmetric tridiagonal pattern."""
 
 
-class NonFiniteState(TodaError):
-    """Integration produced NaN or infinity."""
+class NonFiniteState(NumericalFailure):
+    """Integration left the state space: a NaN, an infinity, or a state the
+    package refuses as input."""
 
 
-class OverflowGuard(TodaError):
+class OverflowGuard(NumericalFailure):
     """Flow exponents are non-finite; the closed-form propagator cannot proceed."""
 
 

@@ -471,8 +471,8 @@ def rk4(field, state, dt, t_final, kind="raw", n=None, record_every=1):
     t_final, and every record_every-th step recorded plus both endpoints.
     A kind that Trajectory.build refuses raises DomainViolation before the
     first step, and NonFiniteState is raised as soon as a step leaves the
-    finite floats. DomainViolation when the rows would hold more than
-    MAX_ENTRIES doubles.
+    finite floats or, for Jacobi rows, c_k > 0. DomainViolation when the
+    rows would hold more than MAX_ENTRIES doubles.
     """
     _check_kind(kind)
     x = np.array(state, dtype=float)
@@ -492,6 +492,8 @@ def rk4(field, state, dt, t_final, kind="raw", n=None, record_every=1):
         x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not np.all(np.isfinite(x)):
             raise NonFiniteState(f"state left the finite floats in step {step} of {nsteps}")
+        if kind == "jacobi" and not np.all(x[n:] > 0):
+            raise NonFiniteState(f"state left c > 0 in step {step} of {nsteps}")
         if step == steps[row]:
             rows[row] = x
             row += 1

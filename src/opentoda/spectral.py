@@ -17,6 +17,7 @@ from .errors import (
     CoincidentPoles,
     ConvergenceFailure,
     DomainViolation,
+    MultiplePole,
     NotInRatNPrime,
     PoleEvaluation,
 )
@@ -56,9 +57,19 @@ class SpectralData:
 
 def direct_transform(J):
     """Spectral data of a Jacobi matrix: eigenvalues and squared first
-    eigenvector components."""
+    eigenvector components.
+
+    The data lie in the normalized class, which the inverse transform
+    takes. Eigenvalues closer together than their accuracy coincide or
+    leave their residues without unit mass; then MultiplePole is raised.
+    """
     z, comp = eigen(J)
-    return SpectralData(z=z, rho=comp ** 2)
+    rho = comp ** 2
+    if not (np.all(np.diff(z) > 0) and _normalized(rho)):
+        raise MultiplePole(
+            f"eigenvalues closer together than their accuracy: residues sum to {float(np.sum(rho))!r}"
+        )
+    return SpectralData(z=z, rho=rho)
 
 
 def to_jacobi(obj):

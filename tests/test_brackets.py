@@ -169,6 +169,16 @@ def test_bracket_point_validation():
         closed_form_bracket(S, 2.0, 3.0, Z2)
 
 
+def test_restricted_routes_refuse_zero_mass():
+    # both routes divide by q0 = sum(rho) and check it before they do
+    S = SpectralData(z=np.array([-1.0, 1.0]), rho=np.array([0.5, -0.5]))
+    for f in (ONE, Z):
+        for route in (bracket_terms, closed_form_bracket):
+            with pytest.raises(DomainViolation, match="sum\\(rho\\) != 0"):
+                route(S, 2.0, 3.0, f, restricted=True)
+            assert np.all(np.isfinite(route(S, 2.0, 3.0, f)))
+
+
 def test_closed_forms_match_residue_sums(rng):
     for _ in range(20):
         S = random_spectral(rng, 4)

@@ -1,5 +1,6 @@
 """Command line front end: envelopes, exit codes, formats, determinism."""
 
+import contextlib
 import hashlib
 import io
 import json
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import opentoda
 from opentoda import (
@@ -180,6 +183,26 @@ def test_transform_rejects_unnormalized_mass(tmp_path, capsys):
     rc, _, err = run(["transform", path, "--direction", "inverse"], capsys)
     assert rc == 2
     assert "error:" in err
+
+
+def test_transform_refuses_unnormalized_spectral_input(tmp_path, capsys):
+    # written back unchanged, rho = [0, 0] would be a state the transforms refuse
+    S = SpectralData(z=np.array([-1.0, 1.0]), rho=np.zeros(2))
+    path = write_envelope(tmp_path, S)
+    for direction in ("forward", "inverse"):
+        rc, out, err = run(["transform", path, "--direction", direction, "--to", "jacobi"], capsys)
+        assert rc == 2 and out == ""
+        assert err == "error: need rho_k > 0 and sum(rho) = 1 within 1e-10\n"
+    rc, out, _ = run(["transform", path, "--to", "spectral"], capsys)
+    assert rc == 2 and out == ""
+
+
+def test_transform_unresolved_eigenvalues_exit_3(tmp_path, capsys):
+    # eigenvalues 0 and 5e-324 too close to resolve: the residues summed to 1.5
+    path = write_envelope(tmp_path, JacobiMatrix(v=np.array([1.0, 1.0, 5e-324]), c=np.array([1.0, 5e-324])))
+    rc, out, err = run(["transform", path], capsys)
+    assert rc == 3 and out == ""
+    assert err.startswith("blow-up: eigenvalues closer together than their accuracy")
 
 
 def test_transform_residue_underflow_exits_3(tmp_path, capsys):
@@ -540,6 +563,158 @@ def test_verify_suite_blowups_exit_3(capsys, monkeypatch, error):
     rc, out, err = run(["verify", "--suite", "casimirs", "--n", "2", "--trials", "2"], capsys)
     assert rc == 3 and out == ""
     assert err == "blow-up: numerical failure\n"
+
+
+def _error_classes(base=opentoda.TodaError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+def test_exit_code_follows_the_error_taxonomy(capsys, monkeypatch):
+    # the class alone decides: every NumericalFailure exits 3, every other
+    # TodaError exits 2, with nothing listed in the CLI
+    classes = list(_error_classes())
+    assert opentoda.NumericalFailure in classes and opentoda.ResidueUnderflow in classes
+    for error in classes:
+        def suite(rng, n, trials):
+            raise error("raised by the suite")
+
+        monkeypatch.setitem(cli._SUITES, "casimirs", suite)
+        rc, out, err = run(["verify", "--suite", "casimirs", "--n", "2", "--trials", "2"], capsys)
+        blowup = issubclass(error, opentoda.NumericalFailure)
+        assert (rc, out) == ((3, "") if blowup else (2, "")), error
+        assert err == ("blow-up: " if blowup else "error: ") + "raised by the suite\n"
+
+
+def test_bracket_restricted_zero_mass_exits_2(tmp_path, capsys):
+    # the restricted bracket divides by q0 = sum(rho), which is 0 here
+    path = write_envelope(tmp_path, SpectralData(z=np.array([-1.0, 1.0]), rho=np.array([0.5, -0.5])))
+    for power in ("0", "2"):
+        rc, out, err = run(["bracket", path, "--restricted", "--f", power, "--p", "2", "--q", "3"], capsys)
+        assert rc == 2 and out == ""
+        assert err == "error: the restricted bracket needs sum(rho) != 0\n"
+        rc, out, _ = run(["bracket", path, "--f", power, "--p", "2", "--q", "3"], capsys)
+        assert rc == 0 and json.loads(out)["restricted"] is False
+
+
+def test_rk4_run_leaving_the_jacobi_matrices_exits_3(tmp_path, capsys):
+    # one step of the second flow from this momentum takes c0 to -5.7e41
+    phase = PhasePoint(q=np.zeros(2), p=np.array([-127341.1121780271, 14873.772799648563]))
+    path = write_envelope(tmp_path, phase)
+    rc, out, err = run(["evolve", path, "--method", "rk4-lax", "--k", "2", "--t", "0.1", "--dt", "0.1"], capsys)
+    assert rc == 3 and out == ""
+    assert err == "blow-up: state left c > 0 in step 1 of 1\n"
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over arbitrary envelopes
+
+# doubles of either sign from the smallest subnormal up to 1.7e308, and 0;
+# the draws from [-4, 4] reach the admissible states more often
+_MAGNITUDES = st.floats(min_value=5e-324, max_value=1.7e308)
+_VALUES = st.one_of(st.just(0.0), _MAGNITUDES, _MAGNITUDES.map(lambda x: -x), st.floats(-4.0, 4.0))
+
+
+@st.composite
+def _fuzz_envelopes(draw):
+    n = draw(st.sampled_from((1, 2, 3, 5, 12)))
+    kind = draw(st.sampled_from(("phase", "jacobi", "spectral")))
+
+    def values(size):
+        return draw(st.lists(_VALUES, min_size=size, max_size=size))
+
+    if kind == "phase":
+        payload = {"q": values(n), "p": values(n)}
+    elif kind == "jacobi":
+        payload = {"v": values(n), "c": values(n - 1)}
+    else:
+        z, rho = values(n), values(n)
+        # also offer the admissible class, so that the checks past the
+        # input's own are reached: increasing poles and unit mass
+        if draw(st.booleans()):
+            z = sorted(z)
+        mass = float(np.sum(np.abs(rho)))
+        if draw(st.booleans()) and 0.0 < mass < np.inf:
+            rho = [abs(r) / mass for r in rho]
+        payload = {"z": z, "rho": rho}
+    return {"kind": kind, "n": n, "payload": payload}
+
+
+_FUZZ_COMMANDS = st.one_of(
+    st.sampled_from([
+        ["transform", "--direction=forward", "--to=jacobi"],
+        ["transform", "--direction=forward", "--to=spectral"],
+        ["transform", "--direction=inverse", "--to=jacobi"],
+        ["transform", "--direction=inverse", "--to=phase"],
+    ]),
+    st.builds(
+        lambda method, k, p, t, dt: ["evolve", f"--method={method}", f"--k={k}", f"--p={p}", f"--t={t}", f"--dt={dt}"],
+        st.sampled_from(("exact", "rk4-lax", "rk4-hamiltonian")),
+        st.integers(1, 3),
+        st.integers(0, 2),
+        st.sampled_from(("0.01", "0.1")),
+        st.sampled_from(("0.02", "0.1")),
+    ),
+    st.builds(
+        lambda f, p, q, restricted: ["bracket", f"--f={f}", f"--p={p!r}", f"--q={q!r}"] + restricted,
+        st.integers(0, 3),
+        _VALUES,
+        _VALUES,
+        st.sampled_from(([], ["--restricted"])),
+    ),
+)
+
+
+def _run_on_stdin(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    finally:
+        sys.stdin = stdin
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _assert_admissible(names, values):
+    """A printed state the package would take as input: finite numbers,
+    c_k > 0 on Jacobi rows and rho_k > 0 with unit mass on spectral rows."""
+    values = np.asarray(values, dtype=float)
+    assert np.all(np.isfinite(values)), dict(zip(names, values))
+    c = values[[name.startswith("c") for name in names]]
+    rho = values[[name.startswith("rho") for name in names]]
+    assert np.all(c > 0.0), c
+    if rho.size:
+        assert np.all(rho > 0.0) and abs(float(np.sum(rho)) - 1.0) <= 1e-10, rho
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(envelope=_fuzz_envelopes(), command=_FUZZ_COMMANDS)
+def test_exit_code_contract_on_arbitrary_envelopes(envelope, command):
+    argv = [command[0], "-", *command[1:]]
+    rc, out, err = _run_on_stdin(argv, json.dumps(envelope))
+    assert rc in (0, 2, 3), err
+    if rc:
+        assert out == "" and err.startswith("blow-up: " if rc == 3 else "error: ")
+        return
+    if command[0] == "transform":
+        doc = json.loads(out)
+        parse_envelope(doc)
+        payload = doc["payload"]
+        _assert_admissible(
+            [name for name, row in payload.items() for _ in row],
+            [x for row in payload.values() for x in row],
+        )
+    elif command[0] == "evolve":
+        header, *rows = out.splitlines()
+        names = header.split(",")[1:]
+        for row in rows:
+            _assert_admissible(names, row.split(",")[1:])
+    else:
+        doc = json.loads(out)
+        assert np.isfinite(doc["value"])
 
 
 def test_evolve_step_budget(tmp_path, capsys):

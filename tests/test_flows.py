@@ -312,6 +312,17 @@ def test_rk4_nonfinite_raises():
         rk4(lambda x: x**2, np.array([1.0]), 1e-2, 3.0)
 
 
+def test_rk4_jacobi_rows_keep_c_positive():
+    # c0' = -1 takes c0 = 0.55 through 0 in the sixth step; raw rows may change sign
+    def field(x):
+        return np.array([0.0, 0.0, -1.0])
+
+    x0 = np.array([0.0, 0.0, 0.55])
+    with pytest.raises(NonFiniteState, match="c > 0 in step 6 of 10"):
+        rk4(field, x0, 0.1, 1.0, kind="jacobi", n=2)
+    assert rk4(field, x0, 0.1, 1.0).states[-1, 2] == pytest.approx(-0.45)
+
+
 def test_rk4_validation(worked):
     with pytest.raises(DomainViolation):
         rk4(lambda x: -x, np.array([1.0]), -0.1, 1.0)

@@ -10,6 +10,7 @@ from opentoda import (
     ConvergenceFailure,
     DomainViolation,
     JacobiMatrix,
+    MultiplePole,
     NotInRatNPrime,
     PoleEvaluation,
     SpectralData,
@@ -35,6 +36,21 @@ def test_direct_transform_worked(worked):
     S = direct_transform(worked)
     np.testing.assert_allclose(S.z, [-1.0, 1.0], atol=1e-14)
     np.testing.assert_allclose(S.rho, [0.5, 0.5], atol=1e-14)
+
+
+def test_direct_transform_stays_in_the_normalized_class():
+    # the last site couples by c1 = 5e-324 at v2 = 5e-324, one subnormal
+    # away from the eigenvalue 0 of the first two sites: the twisted
+    # factorizations at 0 and 5e-324 cannot tell the two apart, and the
+    # residues came out [0.5, 0.5, 0.5]
+    J = JacobiMatrix(v=np.array([1.0, 1.0, 5e-324]), c=np.array([1.0, 5e-324]))
+    with pytest.raises(MultiplePole, match="residues sum to 1.5"):
+        direct_transform(J)
+    # eigenvalues 1 +- 1e-20 meet in double precision, with unit mass; this
+    # is no input error (CoincidentPoles), as the Jacobi matrix is valid
+    J = JacobiMatrix(v=np.array([0.0, 1.0, 1.0]), c=np.array([1e-9, 1e-20]))
+    with pytest.raises(MultiplePole, match="closer together than their accuracy"):
+        direct_transform(J)
 
 
 def test_spectral_data_validation():
