@@ -170,16 +170,12 @@ def dump_json(doc, stream):
     def write_matrix(rows, pad):
         inner = pad + " "
         item = ",\n" + inner + " "
-        head, blocks = rows.head, ([block] for block in rows.blocks)
-        if not rows.width:
-            # the kernel prints at least one number of each row: the last of head
-            head = head[:-1]
-            blocks = ([np.full(len(block), rows.head[-1])] for block in rows.blocks)
-        lead = "".join(json.dumps(x) + item for x in head.tolist())
+        lead = "".join(json.dumps(x) + item for x in rows.head.tolist())
         close = "\n" + inner + "]"
         stream.write("[\n" + inner)
         write_rows(
-            stream, blocks, [item] * (max(rows.width, 1) - 1) + [close + ",\n" + inner],
+            stream, ([block] for block in rows.blocks),
+            [item] * (rows.width - 1) + [close + ",\n" + inner],
             "json", lead="[" + item[1:] + lead, end=close + "\n" + pad + "]",
         )
 

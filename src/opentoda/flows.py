@@ -9,11 +9,11 @@ route forms only the tridiagonal part of the commutator, from the bands of
 L^k, and the Hamiltonian route applies the banded pi_p to grad H_{k-p}.
 `evolve` runs any of them from any state on one time grid (_time_grid),
 and trajectories carry isospectrality diagnostics. An exact trajectory
-holds its frozen poles once and evaluates its residues a block at a time
-whenever its rows are read.
+holds its frozen poles once and its residues as a sequence of blocks, each
+evaluated whenever it is read.
 """
 
-import collections
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +84,8 @@ def _time_grid(t_final, dt, record_every):
     steps = np.arange(0, nsteps + 1, every)
     if nsteps % every:
         steps = np.append(steps, nsteps)
-    times = np.minimum(steps * dt, t_final)
+    times = steps * dt
+    np.minimum(times, t_final, out=times)
     if nsteps:
         # _step_count's slack of a few ulps can leave nsteps dt a rounding short
         times[-1] = t_final
@@ -281,24 +282,27 @@ def _exact_rho(z, rho, k, ts):
     return w
 
 
-class _ExactRows:
+class _ExactRows(Sequence):
     """The residues of the exact X_k flow from the normalized S at the
-    times of a _time_grid, as an iterable of blocks of consecutive rows of
-    about _EXACT_BLOCK numbers, evaluated again by _exact_rho each time it
-    is iterated. Row 0 holds S.rho itself, and each block leaves out its
-    first skip columns."""
+    times of a _time_grid, as a sequence of blocks of consecutive rows of
+    about _EXACT_BLOCK numbers. Block i is evaluated by _exact_rho each
+    time it is read, and row 0 holds S.rho itself."""
 
-    def __init__(self, S, k, times, skip=0):
-        self.S, self.k, self.times, self.skip = S, k, times, skip
+    def __init__(self, S, k, times):
+        self.S, self.k, self.times = S, k, times
+        self.step = max(1, _EXACT_BLOCK // S.n)
 
-    def __iter__(self):
-        S = self.S
-        step = max(1, _EXACT_BLOCK // S.n)
-        for lo in range(0, self.times.size, step):
-            rho = _exact_rho(S.z, S.rho, self.k, self.times[lo : lo + step])
-            if lo == 0:
-                rho[0] = S.rho
-            yield rho[:, self.skip :]
+    def __len__(self):
+        return -(-self.times.size // self.step)
+
+    def __getitem__(self, i):
+        if not -len(self) <= i < len(self):
+            raise IndexError("block index out of range")
+        lo = i % len(self) * self.step
+        rho = _exact_rho(self.S.z, self.S.rho, self.k, self.times[lo : lo + self.step])
+        if lo == 0:
+            rho[0] = self.S.rho
+        return rho
 
 
 def exact_flow(S, k, t):
@@ -336,9 +340,8 @@ def _field_names(kind, n, width):
 @dataclass(frozen=True)
 class RowBlocks:
     """A float64 matrix of at least one row, as the 1-D array head of the
-    numbers that begin every row and an iterable of 2-D arrays of width
-    columns that hold the rest of consecutive rows, in order. The blocks
-    can be iterated more than once, and may be made anew each time.
+    numbers that begin every row and a sequence of blocks, 2-D arrays of
+    width >= 1 columns that hold the rest of consecutive rows, in order.
 
     Trajectory.to_csv, and cli.dump_json, which writes it as the nested
     list of its rows, make the text of head once and write the blocks as
@@ -347,7 +350,7 @@ class RowBlocks:
 
     head: np.ndarray
     width: int
-    blocks: object
+    blocks: Sequence
 
 
 @dataclass(frozen=True)
@@ -358,10 +361,10 @@ class Trajectory:
 
     Its rows are a RowBlocks. Trajectory.build keeps an array of states as
     one block with an empty head. evolve's exact method keeps the frozen
-    poles as the head and residue blocks that are evaluated again whenever
-    the rows are read, so writing a run of any length, or reading its
-    final_state, holds one block of rows; states assembles every row and
-    refuses more than MAX_ENTRIES doubles.
+    poles as the head and a sequence of residue blocks, each evaluated
+    whenever it is read, so writing a run of any length holds one block of
+    rows and final_state evaluates only the last block; states assembles
+    every row and refuses more than MAX_ENTRIES doubles.
 
     Trajectory.build takes jacobi and raw rows. For jacobi rows the
     eigenvalues come from tridiag._eigenvalues, one row at a time so memory
@@ -421,10 +424,9 @@ class Trajectory:
 
     @property
     def final_state(self):
-        """The last row: the head and the last row of the last block, which
-        is the only block kept."""
-        (block,) = collections.deque(self.rows.blocks, maxlen=1)
-        return np.concatenate([self.rows.head, block[-1]])
+        """The last row: the head and the last row of the last block, the
+        only block read."""
+        return np.concatenate([self.rows.head, self.rows.blocks[-1][-1]])
 
     @property
     def field_names(self):
@@ -508,38 +510,33 @@ def evolve(obj, spec, record_every=1):
 
     The RK4 methods integrate in the c-v chart and hold their rows in
     memory, so a run of more than MAX_ENTRIES doubles raises
-    DomainViolation before it starts. The exact method keeps the poles,
-    which are frozen, as the head of its rows, and evaluates the closed
-    form at the recorded times a block at a time (_ExactRows), whenever the
-    rows are read. Before it returns, it evaluates the last row, and then
-    every row once for sum_rho_drift; its spectrum_drift is 0, as the poles
-    are copied bit for bit. So a run raises here, before any row is
-    written, when a recorded residue would underflow or an exponent
-    overflow: log rho_n(t) is concave in t, so over a run the residues are
-    smallest, and |z^k t| is largest, at t = 0 or at the last time.
+    DomainViolation before it starts. The exact method keeps the frozen
+    poles as the head of its rows and the residues as a sequence of blocks
+    (_ExactRows), each evaluated whenever it is read; per row it stores
+    only the time and sum_rho_drift, and its spectrum_drift is a broadcast
+    0, as the poles are copied bit for bit. Before it returns, it evaluates
+    the last row, then every row once for sum_rho_drift. So a run raises
+    here, before any row is written, when a recorded residue would
+    underflow or an exponent overflow: log rho_n(t) is concave in t, so
+    over a run the residues are smallest, and |z^k t| is largest, at t = 0
+    or at the last time.
     """
     if spec.method == "exact":
         S = to_spectral(obj)
         _require_normalized(S)
-        k, n = spec.k, S.n
         times = _time_grid(spec.t_final, spec.dt, record_every)[2]
-        _exact_rho(S.z, S.rho, k, times[-1:])
+        _exact_rho(S.z, S.rho, spec.k, times[-1:])
+        blocks = _ExactRows(S, spec.k, times)
         drift = np.empty(times.size)
         lo = 0
-        for rho in _ExactRows(S, k, times):
+        for rho in blocks:
             drift[lo : lo + len(rho)] = rho.sum(axis=1)
             lo += len(rho)
         # |sum rho(t) - sum rho(0)|, in place
         np.abs(np.subtract(drift, drift[0], out=drift), out=drift)
-        # at n = 1 each row after row 0 holds x / x, so a residue of exactly
-        # 1.0 is frozen with the pole
-        frozen = int(S.rho.tolist() == [1.0])
-        rows = RowBlocks(
-            np.concatenate([S.z, S.rho[:frozen]]), n - frozen, _ExactRows(S, k, times, frozen)
-        )
         return Trajectory(
-            kind="spectral", n=n, times=times, rows=rows,
-            sum_rho_drift=drift, spectrum_drift=np.zeros(times.size),
+            kind="spectral", n=S.n, times=times, rows=RowBlocks(S.z.copy(), S.n, blocks),
+            sum_rho_drift=drift, spectrum_drift=np.broadcast_to(0.0, times.size),
         )
 
     J = to_jacobi(obj)
@@ -550,7 +547,10 @@ def evolve(obj, spec, record_every=1):
             return _lax_rate(v, c, power_bands(v, c, k))
     else:
         field = _hamiltonian_rate(n, k, spec.p)
-    return rk4(
-        field, cv_pack(J), spec.dt, spec.t_final,
-        kind="jacobi", n=n, record_every=record_every,
-    )
+    # these fields only add and multiply, so every overflow or NaN reaches
+    # the state that rk4 refuses as NonFiniteState: the warnings tell nothing
+    with np.errstate(over="ignore", invalid="ignore"):
+        return rk4(
+            field, cv_pack(J), spec.dt, spec.t_final,
+            kind="jacobi", n=n, record_every=record_every,
+        )

@@ -607,6 +607,19 @@ def test_rk4_run_leaving_the_jacobi_matrices_exits_3(tmp_path, capsys):
     assert err == "blow-up: state left c > 0 in step 1 of 1\n"
 
 
+@pytest.mark.parametrize("route", [["rk4-lax"], ["rk4-hamiltonian", "--p", "1"]])
+def test_rk4_blowup_prints_no_numpy_warning(tmp_path, capsys, route):
+    # the first step overflows to inf and NaN: the blow-up message is the
+    # only line on stderr, and no RuntimeWarning is raised on the way
+    phase = PhasePoint(q=np.zeros(3), p=np.array([1e200, -1e200, 3.0]))
+    path = write_envelope(tmp_path, phase)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = run(["evolve", path, "--method", *route, "--k", "2", "--t", "0.1", "--dt", "0.1"], capsys)
+    assert rc == 3 and out == ""
+    assert err == "blow-up: state left the finite floats in step 1 of 1\n"
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract over arbitrary envelopes
 

@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -590,4 +591,30 @@ def test_exact_final_state_holds_one_block(rng, monkeypatch):
     with pytest.raises(DomainViolation, match="MAX_ENTRIES"):
         traj.states
     want = np.concatenate([S.z, exact_flow(S, 2, 0.7).rho])
+    # final_state evaluates the last block alone
+    calls = []
+    exact_rho = flows._exact_rho
+
+    def counted(*args):
+        calls.append(args)
+        return exact_rho(*args)
+
+    monkeypatch.setattr(flows, "_exact_rho", counted)
     np.testing.assert_array_equal(traj.final_state, want)
+    assert len(calls) == 1
+
+
+def test_exact_run_peak_memory_per_row():
+    # per row an exact run keeps its time and its residue drift, 8 bytes
+    # each, beside one block of residues: spectrum_drift is a broadcast 0,
+    # and the step indices are freed before the drift is made
+    S = SpectralData(z=np.array([-0.5, 0.5]), rho=np.array([0.5, 0.5]))
+    spec = FlowSpec(k=1, method="exact", t_final=200.0, dt=1e-3)
+    tracemalloc.start()
+    try:
+        traj = evolve(S, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert traj.times.size == 200001
+    assert peak <= 20 * traj.times.size

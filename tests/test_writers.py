@@ -213,7 +213,8 @@ def test_streamed_exact_output_matches_in_memory_writers(
     S = random_spectral(rng, n, min_gap=0.0)
     path = tmp_path / "in.json"
     path.write_text(json.dumps(make_envelope(S)))
-    traj = evolve(S, FlowSpec(k=2, method="exact", t_final=t_final, dt=dt), every)
+    spec = FlowSpec(k=2, method="exact", t_final=t_final, dt=dt)
+    traj = evolve(S, spec, every)
     payload = traj.to_payload()
     want = {
         "csv": _text(traj.to_csv),
@@ -227,6 +228,26 @@ def test_streamed_exact_output_matches_in_memory_writers(
         monkeypatch.setattr(flows, "_EXACT_BLOCK", block)
         for out in ("csv", "json"):
             assert _cli_text(argv + ["--out", out], capsys) == want[out]
+        _check_block_sequence(evolve(S, spec, every), block)
+
+
+def _check_block_sequence(traj, block):
+    # the residues of an exact run are a sequence of blocks of block // n
+    # rows, the last one possibly shorter; iterating it reads every index
+    blocks = traj.rows.blocks
+    step = max(1, block // traj.n)
+    m = len(blocks)
+    assert m == -(-traj.times.size // step)
+    read = list(blocks)
+    assert len(read) == m
+    for i, rho in enumerate(read):
+        assert rho.shape == (min(step, traj.times.size - i * step), traj.n)
+        np.testing.assert_array_equal(blocks[i], rho)
+        np.testing.assert_array_equal(blocks[i - m], rho)
+    np.testing.assert_array_equal(np.concatenate(read), traj.states[:, traj.n :])
+    for i in (m, -m - 1):
+        with pytest.raises(IndexError):
+            blocks[i]
 
 
 def test_streamed_exact_output_is_not_bounded_by_max_entries(tmp_path, rng, capsys, monkeypatch):
@@ -260,13 +281,11 @@ def test_exact_trajectory_writes_csv_json_csv(rng):
     assert _text(traj.to_csv) == csv_text
 
 
-@pytest.mark.parametrize("rho, head", [(1.0, 2), (1.0 - 4e-11, 1)])
-def test_one_site_exact_residue_joins_the_head(rho, head):
-    # at n = 1 every row after row 0 holds x / x = 1.0, so a residue of
-    # exactly 1.0 is printed once with the pole
+@pytest.mark.parametrize("rho", [1.0, 1.0 - 4e-11])
+def test_one_site_exact_residue_is_one_after_row_0(rho):
+    # at n = 1 every row after row 0 holds x / x = 1.0
     S = SpectralData(z=np.array([0.7]), rho=np.array([rho]))
     traj = evolve(S, FlowSpec(k=1, method="exact", t_final=0.5, dt=0.1))
-    assert traj.rows.head.size == head and traj.rows.width == 2 - head
     np.testing.assert_array_equal(traj.states[:, 0], 0.7)
     np.testing.assert_array_equal(traj.states[1:, 1], 1.0)
     assert traj.states[0, 1] == rho
