@@ -62,7 +62,8 @@ class NonFiniteState(NumericalFailure):
 
 
 class OverflowGuard(NumericalFailure):
-    """Flow exponents are non-finite; the closed-form propagator cannot proceed."""
+    """Not representable in double precision: the exact flow's exponents z^k t or
+    residue mass, a bracket value, or a phase point's Flaschka coupling."""
 
 
 class ResidueUnderflow(OverflowGuard):

@@ -157,11 +157,8 @@ def weyl_routes_gap(S, J, x):
         q0 * np.prod(g[:, None] - x, axis=0) / np.prod(S.z[:, None] - x, axis=0),
     )
     scale = np.maximum(np.abs(chi), 1e-30)
-    return max(
-        float(np.max(np.abs(a - b) / scale))
-        for i, a in enumerate(routes)
-        for b in routes[i + 1 :]
-    )
+    # np.max, unlike Python's max, returns NaN when any pair gap is NaN
+    return float(np.max([np.abs(a - b) / scale for i, a in enumerate(routes) for b in routes[i + 1 :]]))
 
 
 def p_agreement_gaps(J, k):

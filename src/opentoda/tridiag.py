@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainViolation, ResidueUnderflow, SingularMatrix
+from .errors import ConvergenceFailure, DomainViolation, OverflowGuard, ResidueUnderflow, SingularMatrix
 
 # Entries per working array of the twisted factorization: blocks of
 # _BLOCK // n eigenvalues keep its pivots off n x n arrays.
@@ -97,9 +97,12 @@ class JacobiMatrix:
 
 
 def flaschka(pt):
-    """Map a phase point to its Jacobi matrix: v = -p, c_k = exp((q_k - q_{k+1})/2)."""
+    """Map a phase point to its Jacobi matrix: v = -p, c_k = exp((q_k - q_{k+1})/2).
+    Raises OverflowGuard when c_k overflows (q gap above about 1419.6) or underflows to 0 (below -1490)."""
     v = -pt.p
     c = np.exp(0.5 * (pt.q[:-1] - pt.q[1:]))
+    if not np.all(np.isfinite(c) & (c > 0.0)):
+        raise OverflowGuard("phase point: a Flaschka coupling c_k is not a positive finite double")
     return JacobiMatrix(v=v, c=c)
 
 

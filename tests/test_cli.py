@@ -620,6 +620,48 @@ def test_rk4_blowup_prints_no_numpy_warning(tmp_path, capsys, route):
     assert err == "blow-up: state left the finite floats in step 1 of 1\n"
 
 
+@pytest.mark.parametrize("q", [[2000.0, 0.0], [0.0, 2000.0], [1e308, -1e308]])
+def test_unrepresentable_flaschka_coupling_exits_3(tmp_path, capsys, q):
+    # a valid phase point whose coupling exp((q_0 - q_1)/2) overflows or
+    # underflows to 0: a numerical failure, not an input error about c
+    path = write_envelope(tmp_path, PhasePoint(q=np.array(q), p=np.zeros(2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = run(["transform", path], capsys)
+    assert rc == 3 and out == ""
+    assert err == "blow-up: phase point: a Flaschka coupling c_k is not a positive finite double\n"
+
+
+def test_bracket_on_poles_near_the_largest_double_prints_no_warning(tmp_path, capsys):
+    # the pole spacing overflows in the input's own checks; the bracket is finite
+    path = tmp_path / "in.json"
+    path.write_text('{"kind": "spectral", "n": 2, "payload": {"z": [-1.7e308, 1.7e308], "rho": [0.5, 0.5]}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = run(["bracket", str(path), "--p", "2", "--q", "3"], capsys)
+    assert rc == 0 and err == ""
+    assert np.isfinite(json.loads(out)["value"])
+
+
+@pytest.mark.parametrize("route", ["weyl_eval", "weyl_rat", "pq_polynomials", "gammas"])
+def test_a_nan_weyl_route_fails_the_property(monkeypatch, route):
+    # Python's max skips a NaN that is not its first item; each route in turn
+    from opentoda import properties
+
+    orig = getattr(properties, route)
+    nan_route = {
+        "weyl_eval": lambda S, x: orig(S, x) * np.nan,
+        "weyl_rat": lambda S: lambda x: orig(S)(x) * np.nan,
+        "pq_polynomials": lambda J, x: tuple(a * np.nan for a in orig(J, x)),
+        "gammas": lambda S: (orig(S)[0] * np.nan, orig(S)[1]),
+    }[route]
+    monkeypatch.setattr(properties, route, nan_route)
+    J = JacobiMatrix(v=np.array([0.5, -0.2, 0.1]), c=np.array([1.0, 0.7]))
+    gap = properties.weyl_routes_gap(opentoda.direct_transform(J), J, np.array([4.0, 5.0]))
+    assert np.isnan(gap)
+    assert not cli._prop("weyl_three_routes", [1e-16, gap], 2)["pass"]
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract over arbitrary envelopes
 
@@ -702,16 +744,22 @@ def _assert_admissible(names, values):
         assert np.all(rho > 0.0) and abs(float(np.sum(rho)) - 1.0) <= 1e-10, rho
 
 
+# the strategy's own mass sum overflows on its largest draws; the run of
+# the command below turns any RuntimeWarning into an error
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
 @given(envelope=_fuzz_envelopes(), command=_FUZZ_COMMANDS)
 def test_exit_code_contract_on_arbitrary_envelopes(envelope, command):
     argv = [command[0], "-", *command[1:]]
-    rc, out, err = _run_on_stdin(argv, json.dumps(envelope))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = _run_on_stdin(argv, json.dumps(envelope))
     assert rc in (0, 2, 3), err
     if rc:
         assert out == "" and err.startswith("blow-up: " if rc == 3 else "error: ")
+        assert err.count("\n") == 1 and err.endswith("\n"), err
         return
+    assert err == ""
     if command[0] == "transform":
         doc = json.loads(out)
         parse_envelope(doc)
