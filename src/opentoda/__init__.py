@@ -22,7 +22,6 @@ from .errors import (
     ResidueUnderflow,
     SignViolation,
     SingularMatrix,
-    StructureViolation,
     TodaError,
 )
 from .ratfun import (

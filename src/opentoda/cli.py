@@ -4,6 +4,8 @@ States travel as JSON envelopes {"kind", "n", "payload", "meta"} with kind
 one of phase | jacobi | spectral. Exit codes: 0 success, 1 failed property,
 2 input validation (any other TodaError), 3 numerical blow-up (any
 errors.NumericalFailure). Reports are byte-deterministic under a fixed --seed.
+This module parses, dispatches and prints; the verify suites and their
+properties live in properties.py.
 """
 
 import argparse
@@ -14,55 +16,20 @@ import sys
 import numpy as np
 
 from . import __version__, conventions_hash
-from .brackets import (
-    WeightFn,
-    bracket_terms,
-    closed_form_bracket,
-    jacobi_residual,
-    pi_cv_indices,
-    zrho_pack,
-    zrho_restricted_tensor,
-    zrho_tensor,
-)
+from .brackets import WeightFn, bracket_terms, closed_form_bracket
 from .errors import NumericalFailure, OverflowGuard, TodaError
-from .flows import (
-    _METHODS,
-    FlowSpec,
-    RowBlocks,
-    evolve,
-    exact_flow,
-    hamiltonian_field,
-    lax_rhs,
-)
+from .flows import _METHODS, FlowSpec, RowBlocks, evolve
 from .floattext import write_rows
 from .properties import (
-    TOL,
     WORKED_TOL,
-    action_angle_deviation,
-    constraint_casimir_residuals,
-    corrupt,
-    cv_casimir_residuals,
-    dirac_residuals,
-    gamma_pi_deviation,
-    iy_deviation,
-    p_agreement_gaps,
-    random_jacobi,
-    random_spectral,
-    restricted_flow_gap,
-    roundtrip_gap,
-    weyl_routes_gap,
+    suite_casimirs,
+    suite_darboux,
+    suite_hierarchy,
+    suite_jacobi,
+    suite_roundtrip,
     worked_example,
-    zq_gap,
 )
-from .spectral import (
-    SpectralData,
-    _require_normalized,
-    direct_transform,
-    inverse_transform,
-    inverse_transform_stieltjes,
-    to_jacobi,
-    to_spectral,
-)
+from .spectral import SpectralData, _require_normalized, to_jacobi, to_spectral
 from .tridiag import JacobiMatrix, PhasePoint, unflaschka
 
 
@@ -272,140 +239,7 @@ def cmd_demo(args):
 
 
 # ---------------------------------------------------------------------------
-# verification suites
-
-def _prop(name, residuals, cases):
-    worst = float(np.max(residuals)) if len(residuals) else 0.0
-    return {
-        "property": name,
-        "cases": cases,
-        "max_residual": worst,
-        "tol": TOL[name],
-        "pass": bool(worst <= TOL[name]),
-    }
-
-
-def _trial_size(trial, n):
-    """Matrix size of a trial: 2, 3, .., n in turn (2 alone for n <= 2)."""
-    return 2 + trial % max(1, n - 1)
-
-
-def suite_roundtrip(rng, n, trials):
-    lanczos, stieltjes, weyl, mass = [], [], [], []
-    for trial in range(trials):
-        size = 1 + trial % n
-        J = random_jacobi(rng, size)
-        S = direct_transform(J)
-        lanczos.append(roundtrip_gap(J, inverse_transform(S)))
-        stieltjes.append(roundtrip_gap(J, inverse_transform_stieltjes(S)))
-        mass.append(abs(float(np.sum(S.rho)) - 1.0))
-        if size > 1:
-            weyl.append(weyl_routes_gap(S, J, 3.0 + float(np.max(np.abs(S.z)))))
-    return [
-        _prop("roundtrip_lanczos", lanczos, trials),
-        _prop("roundtrip_stieltjes", stieltjes, trials),
-        _prop("weyl_three_routes", weyl, len(weyl)),
-        _prop("residue_mass", mass, trials),
-    ]
-
-
-def suite_jacobi(rng, n, trials, negative=False):
-    weights = [WeightFn.power(m) for m in range(4)]
-    unres, res, dirac_gap, unit = [], [], [], []
-    for trial in range(trials):
-        size = _trial_size(trial, n)
-        S = random_spectral(rng, size)
-        x = zrho_pack(S)
-        f = weights[trial % 4]
-        P = zrho_tensor(f, size)
-        if negative:
-            P = corrupt(P)
-        unres.append(jacobi_residual(P, x))
-        res.append(jacobi_residual(zrho_restricted_tensor(f, size), x))
-        # constraint pairings for powers >= 1 carry 1/f gradients; those run
-        # on the positive-spectrum states of the second loop
-        if f.power_n == 0:
-            gap, pair = dirac_residuals(f, S)
-            dirac_gap.append(gap)
-            unit.append(pair)
-    for trial in range(trials):
-        size = _trial_size(trial, n)
-        S = random_spectral(rng, size, positive=True)
-        gap, pair = dirac_residuals(weights[trial % 3 + 1], S)
-        dirac_gap.append(gap)
-        unit.append(pair)
-    return [
-        _prop("jacobi_identity", unres, trials),
-        _prop("jacobi_identity_restricted", res, trials),
-        _prop("dirac_matches_closed_form", dirac_gap, len(dirac_gap)),
-        _prop("constraint_bracket_unit", unit, len(unit)),
-    ]
-
-
-def suite_hierarchy(rng, n, trials):
-    pmatch, laxmatch, specmatch, semigroup = [], [], [], []
-    for trial in range(trials):
-        size = _trial_size(trial, n)
-        J = random_jacobi(rng, size)
-        k = 1 + trial % 3
-        pmatch.extend(p_agreement_gaps(J, k))
-        field = np.concatenate(hamiltonian_field(J, k, 0))
-        gap = float(np.max(np.abs(np.concatenate(lax_rhs(J, k)) - field)))
-        laxmatch.append(gap / (1.0 + float(np.max(np.abs(field)))))
-        S = random_spectral(rng, size)
-        for p in pi_cv_indices(k):
-            specmatch.append(restricted_flow_gap(S, k, p))
-        t1 = 0.3 + 0.1 * (trial % 3)
-        t2 = 0.7
-        A = exact_flow(exact_flow(S, k, t1), k, t2)
-        B = exact_flow(S, k, t1 + t2)
-        semigroup.append(float(np.max(np.abs(A.rho - B.rho))))
-    return [
-        _prop("hamiltonian_field_p_agreement", pmatch, len(pmatch)),
-        _prop("lax_matches_hamiltonian", laxmatch, trials),
-        _prop("restricted_tensor_flow", specmatch, len(specmatch)),
-        _prop("exact_flow_semigroup", semigroup, trials),
-    ]
-
-
-def suite_darboux(rng, n, trials):
-    # FD truncation in the chart Jacobians grows like h^2/gap^3; the wider
-    # gap floor keeps that term under the 1e-6 canonicality tolerance
-    iy, aa, gp, zq = [], [], [], []
-    for trial in range(trials):
-        size = _trial_size(trial, n)
-        S = random_spectral(rng, size, min_gap=0.4, rho_floor=0.05)
-        iy.append(iy_deviation(WeightFn.power(0), S))
-        Sp = random_spectral(rng, size, positive=True, min_gap=0.4, rho_floor=0.05)
-        iy.append(iy_deviation(WeightFn.power(1), Sp))
-        aa.append(action_angle_deviation(S))
-        gp.append(gamma_pi_deviation(S))
-        zq.append(zq_gap(S))
-    return [
-        _prop("iy_canonical", iy, len(iy)),
-        _prop("action_angle_canonical", aa, trials),
-        _prop("gamma_pi_canonical", gp, trials),
-        _prop("zq_relations", zq, trials),
-    ]
-
-
-def suite_casimirs(rng, n, trials):
-    tr_res, det_res, inv_res, phi_res = [], [], [], []
-    for trial in range(trials):
-        size = _trial_size(trial, n)
-        J = random_jacobi(rng, size)
-        for residuals, r in zip((tr_res, det_res, inv_res), cv_casimir_residuals(J)):
-            residuals.append(r)
-        for m, positive in ((0, False), (1, True), (2, True)):
-            S = random_spectral(rng, size, positive=positive)
-            phi_res.extend(constraint_casimir_residuals(WeightFn.power(m), S))
-    return [
-        _prop("pi0_trace_casimir", tr_res, trials),
-        _prop("pi1_det_casimir", det_res, trials),
-        _prop("pi2_trace_inverse_casimir", inv_res, trials),
-        _prop("restricted_constraint_casimirs", phi_res, len(phi_res)),
-    ]
-
+# verification
 
 _SUITES = {
     "roundtrip": suite_roundtrip,
@@ -426,9 +260,7 @@ def cmd_verify(args):
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     properties = []
     for name in names:
-        # only the jacobi suite has a negative control
-        extra = {"negative": args.negative_control} if name == "jacobi" else {}
-        for r in _SUITES[name](rng, args.n, args.trials, **extra):
+        for r in _SUITES[name](rng, args.n, args.trials):
             r["suite"] = name
             properties.append(r)
     ok = all(r["pass"] for r in properties)
@@ -467,9 +299,11 @@ def _with_config(args, argv):
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
+    # the namespace also holds the subcommand, its handler and its input
+    known = set(vars(args)) - {"command", "fn", "input", "config"}
     flags = []
     for key, value in doc.items():
-        if not hasattr(args, key.replace("-", "_")):
+        if key.replace("-", "_") not in known:
             raise ValueError(f"config key {key!r} does not match any flag")
         if not isinstance(value, (str, int, float)):
             raise ValueError(f"config value of {key!r} must be a string, number or boolean")
@@ -522,7 +356,6 @@ def build_parser():
     ve.add_argument("--n", type=int, default=4)
     ve.add_argument("--trials", type=int, default=25)
     ve.add_argument("--seed", type=int, default=0)
-    ve.add_argument("--negative-control", action="store_true", help=argparse.SUPPRESS)
     ve.add_argument("--config", default=None)
     ve.set_defaults(fn=cmd_verify)
 

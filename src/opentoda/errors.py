@@ -52,10 +52,6 @@ class ConstraintBracketNotUnit(NumericalFailure):
     """Dirac reduction requires {Phi1, Phi2} = 1 at the evaluation state."""
 
 
-class StructureViolation(NumericalFailure):
-    """A Lax commutator left the symmetric tridiagonal pattern."""
-
-
 class NonFiniteState(NumericalFailure):
     """Integration left the state space: a NaN, an infinity, or a state the
     package refuses as input."""

@@ -1,7 +1,7 @@
 """The verified properties of the package, defined once.
 
 `toda verify`, `toda demo` and the acceptance gate in tests/ all read their
-tolerances, random states and residuals from here:
+tolerances, random states, residuals and suites from here:
 
 - TOL, the tolerance of each property that `toda verify` reports;
 - the seeded generators of random Jacobi matrices and spectral data;
@@ -12,9 +12,10 @@ tolerances, random states and residuals from here:
   constraint pairing, the restricted tensor as the generator of the
   hierarchy flows, the Darboux charts paired with the tensor each makes
   canonical, and the z-q relations;
-- the negative control of the Jacobi identity check;
-- the pinned two-site worked example.
-"""
+- corrupt, a tensor that the Jacobi identity check must reject;
+- the pinned two-site worked example;
+- the five suites of `toda verify`, each a list of properties measured on
+  seeded random states."""
 
 import dataclasses
 
@@ -28,6 +29,7 @@ from .brackets import (
     casimir_residual,
     cv_pack,
     dirac_restrict,
+    jacobi_residual,
     neg_log_mass,
     pi0_cv,
     pi1_cv,
@@ -45,12 +47,13 @@ from .charts import (
     verify_canonical,
 )
 from .errors import DomainViolation
-from .flows import exact_flow, hamiltonian_field, spectral_field
+from .flows import exact_flow, hamiltonian_field, lax_rhs, spectral_field
 from .spectral import (
     SpectralData,
     direct_transform,
     gammas,
     inverse_transform,
+    inverse_transform_stieltjes,
     weyl_eval,
     weyl_rat,
 )
@@ -359,4 +362,137 @@ def worked_example():
         ("flow at t=ln 2", exact_flow(S, 1, float(np.log(2.0))).rho, [0.2, 0.8]),
         ("inverse v", Jb.v, J.v),
         ("inverse c", Jb.c, J.c),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# verification suites
+
+def _prop(name, residuals, cases):
+    worst = float(np.max(residuals)) if len(residuals) else 0.0
+    return {
+        "property": name,
+        "cases": cases,
+        "max_residual": worst,
+        "tol": TOL[name],
+        "pass": bool(worst <= TOL[name]),
+    }
+
+
+def _trial_size(trial, n):
+    """Matrix size of a trial: 2, 3, .., n in turn (2 alone for n <= 2)."""
+    return 2 + trial % max(1, n - 1)
+
+
+def suite_roundtrip(rng, n, trials):
+    lanczos, stieltjes, weyl, mass = [], [], [], []
+    for trial in range(trials):
+        size = 1 + trial % n
+        J = random_jacobi(rng, size)
+        S = direct_transform(J)
+        lanczos.append(roundtrip_gap(J, inverse_transform(S)))
+        stieltjes.append(roundtrip_gap(J, inverse_transform_stieltjes(S)))
+        mass.append(abs(float(np.sum(S.rho)) - 1.0))
+        if size > 1:
+            weyl.append(weyl_routes_gap(S, J, 3.0 + float(np.max(np.abs(S.z)))))
+    return [
+        _prop("roundtrip_lanczos", lanczos, trials),
+        _prop("roundtrip_stieltjes", stieltjes, trials),
+        _prop("weyl_three_routes", weyl, len(weyl)),
+        _prop("residue_mass", mass, trials),
+    ]
+
+
+def suite_jacobi(rng, n, trials):
+    weights = [WeightFn.power(m) for m in range(4)]
+    unres, res, dirac_gap, unit = [], [], [], []
+    for trial in range(trials):
+        size = _trial_size(trial, n)
+        S = random_spectral(rng, size)
+        x = zrho_pack(S)
+        f = weights[trial % 4]
+        unres.append(jacobi_residual(zrho_tensor(f, size), x))
+        res.append(jacobi_residual(zrho_restricted_tensor(f, size), x))
+        # constraint pairings for powers >= 1 carry 1/f gradients; those run
+        # on the positive-spectrum states of the second loop
+        if f.power_n == 0:
+            gap, pair = dirac_residuals(f, S)
+            dirac_gap.append(gap)
+            unit.append(pair)
+    for trial in range(trials):
+        size = _trial_size(trial, n)
+        S = random_spectral(rng, size, positive=True)
+        gap, pair = dirac_residuals(weights[trial % 3 + 1], S)
+        dirac_gap.append(gap)
+        unit.append(pair)
+    return [
+        _prop("jacobi_identity", unres, trials),
+        _prop("jacobi_identity_restricted", res, trials),
+        _prop("dirac_matches_closed_form", dirac_gap, len(dirac_gap)),
+        _prop("constraint_bracket_unit", unit, len(unit)),
+    ]
+
+
+def suite_hierarchy(rng, n, trials):
+    pmatch, laxmatch, specmatch, semigroup = [], [], [], []
+    for trial in range(trials):
+        size = _trial_size(trial, n)
+        J = random_jacobi(rng, size)
+        k = 1 + trial % 3
+        pmatch.extend(p_agreement_gaps(J, k))
+        field = np.concatenate(hamiltonian_field(J, k, 0))
+        gap = float(np.max(np.abs(np.concatenate(lax_rhs(J, k)) - field)))
+        laxmatch.append(gap / (1.0 + float(np.max(np.abs(field)))))
+        S = random_spectral(rng, size)
+        for p in pi_cv_indices(k):
+            specmatch.append(restricted_flow_gap(S, k, p))
+        t1 = 0.3 + 0.1 * (trial % 3)
+        t2 = 0.7
+        A = exact_flow(exact_flow(S, k, t1), k, t2)
+        B = exact_flow(S, k, t1 + t2)
+        semigroup.append(float(np.max(np.abs(A.rho - B.rho))))
+    return [
+        _prop("hamiltonian_field_p_agreement", pmatch, len(pmatch)),
+        _prop("lax_matches_hamiltonian", laxmatch, trials),
+        _prop("restricted_tensor_flow", specmatch, len(specmatch)),
+        _prop("exact_flow_semigroup", semigroup, trials),
+    ]
+
+
+def suite_darboux(rng, n, trials):
+    # FD truncation in the chart Jacobians grows like h^2/gap^3; the wider
+    # gap floor keeps that term under the 1e-6 canonicality tolerance
+    iy, aa, gp, zq = [], [], [], []
+    for trial in range(trials):
+        size = _trial_size(trial, n)
+        S = random_spectral(rng, size, min_gap=0.4, rho_floor=0.05)
+        iy.append(iy_deviation(WeightFn.power(0), S))
+        Sp = random_spectral(rng, size, positive=True, min_gap=0.4, rho_floor=0.05)
+        iy.append(iy_deviation(WeightFn.power(1), Sp))
+        aa.append(action_angle_deviation(S))
+        gp.append(gamma_pi_deviation(S))
+        zq.append(zq_gap(S))
+    return [
+        _prop("iy_canonical", iy, len(iy)),
+        _prop("action_angle_canonical", aa, trials),
+        _prop("gamma_pi_canonical", gp, trials),
+        _prop("zq_relations", zq, trials),
+    ]
+
+
+def suite_casimirs(rng, n, trials):
+    tr_res, det_res, inv_res, phi_res = [], [], [], []
+    for trial in range(trials):
+        size = _trial_size(trial, n)
+        J = random_jacobi(rng, size)
+        for residuals, r in zip((tr_res, det_res, inv_res), cv_casimir_residuals(J)):
+            residuals.append(r)
+        for m, positive in ((0, False), (1, True), (2, True)):
+            S = random_spectral(rng, size, positive=positive)
+            phi_res.extend(constraint_casimir_residuals(WeightFn.power(m), S))
+    return [
+        _prop("pi0_trace_casimir", tr_res, trials),
+        _prop("pi1_det_casimir", det_res, trials),
+        _prop("pi2_trace_inverse_casimir", inv_res, trials),
+        _prop("restricted_constraint_casimirs", phi_res, len(phi_res)),
     ]

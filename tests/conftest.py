@@ -6,7 +6,7 @@ with no floor unless they ask for one."""
 import numpy as np
 import pytest
 
-from opentoda import JacobiMatrix, weyl_eval
+from opentoda import JacobiMatrix, properties, weyl_eval
 from opentoda.properties import random_jacobi  # noqa: F401  (re-exported)
 from opentoda.properties import random_spectral as _random_spectral
 
@@ -24,6 +24,13 @@ def worked():
 
 def random_spectral(rng, n, positive=False, min_gap=0.05, rho_floor=0.0):
     return _random_spectral(rng, n, positive, min_gap, rho_floor)
+
+
+def corrupt_zrho_tensors(monkeypatch):
+    """Make every z-rho tensor the properties draw a corrupted one, the
+    negative control of `toda verify`'s jacobi suite."""
+    zrho_tensor = properties.zrho_tensor
+    monkeypatch.setattr(properties, "zrho_tensor", lambda f, n: properties.corrupt(zrho_tensor(f, n)))
 
 
 def contour_bracket(S, p, q, power, restricted=False, points=64):

@@ -26,11 +26,12 @@ from opentoda import (
     conventions_hash,
     exact_flow,
 )
-from opentoda import cli
+from opentoda import cli, properties
 from opentoda.cli import main, make_envelope, parse_envelope
 from opentoda.properties import TOL, random_spectral
 
 import oracles
+from conftest import corrupt_zrho_tensors
 
 LN2 = "0.6931471805599453"
 
@@ -433,11 +434,9 @@ def test_verify_all_deterministic(capsys):
     assert suites == {"roundtrip", "jacobi", "hierarchy", "darboux", "casimirs"}
 
 
-def test_verify_negative_control(capsys):
-    rc, out, err = run(
-        ["verify", "--suite", "jacobi", "--n", "3", "--trials", "5", "--negative-control"],
-        capsys,
-    )
+def test_verify_negative_control(capsys, monkeypatch):
+    corrupt_zrho_tensors(monkeypatch)
+    rc, out, err = run(["verify", "--suite", "jacobi", "--n", "3", "--trials", "5"], capsys)
     assert rc == 1
     report = json.loads(out)
     failed = [r for r in report["properties"] if not r["pass"]]
@@ -510,16 +509,25 @@ def test_config_values_checked_like_flags(tmp_path, capsys, command, doc, messag
     assert message in err
 
 
+@pytest.mark.parametrize("key", ["config", "fn", "command", "input"])
+def test_config_keys_that_are_not_flags(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: "x"}))
+    argv = ["transform", write_envelope(tmp_path, worked_spectral()), "--config", str(cfg)]
+    rc, out, err = exit_code(argv, capsys)
+    assert rc == 2 and out == ""
+    assert err == f"error: config key {key!r} does not match any flag\n"
+
+
 def test_config_booleans(tmp_path, capsys):
     # true is the bare flag, false leaves it out
     cfg = tmp_path / "cfg.json"
-    base = ["verify", "--suite", "jacobi", "--n", "3", "--trials", "5", "--config", str(cfg)]
-    cfg.write_text(json.dumps({"negative-control": True}))
-    rc, _, err = run(base, capsys)
-    assert rc == 1 and "PROPERTY FAILURES" in err
-    cfg.write_text(json.dumps({"negative_control": False}))
-    rc, _, err = run(base, capsys)
-    assert rc == 0 and "all properties passed" in err
+    base = ["bracket", write_envelope(tmp_path, worked_spectral()), "--p", "2", "--q", "3",
+            "--config", str(cfg)]
+    for value in (True, False):
+        cfg.write_text(json.dumps({"restricted": value}))
+        rc, out, _ = run(base, capsys)
+        assert rc == 0 and json.loads(out)["restricted"] is value
 
 
 @pytest.mark.parametrize(
@@ -551,7 +559,6 @@ def test_verify_numerical_failure_exits_3(capsys):
     [
         opentoda.NonRealOrMultipleRoots,
         opentoda.MultiplePole,
-        opentoda.StructureViolation,
         opentoda.ConstraintBracketNotUnit,
     ],
 )
@@ -646,8 +653,6 @@ def test_bracket_on_poles_near_the_largest_double_prints_no_warning(tmp_path, ca
 @pytest.mark.parametrize("route", ["weyl_eval", "weyl_rat", "pq_polynomials", "gammas"])
 def test_a_nan_weyl_route_fails_the_property(monkeypatch, route):
     # Python's max skips a NaN that is not its first item; each route in turn
-    from opentoda import properties
-
     orig = getattr(properties, route)
     nan_route = {
         "weyl_eval": lambda S, x: orig(S, x) * np.nan,
@@ -659,7 +664,7 @@ def test_a_nan_weyl_route_fails_the_property(monkeypatch, route):
     J = JacobiMatrix(v=np.array([0.5, -0.2, 0.1]), c=np.array([1.0, 0.7]))
     gap = properties.weyl_routes_gap(opentoda.direct_transform(J), J, np.array([4.0, 5.0]))
     assert np.isnan(gap)
-    assert not cli._prop("weyl_three_routes", [1e-16, gap], 2)["pass"]
+    assert not properties._prop("weyl_three_routes", [1e-16, gap], 2)["pass"]
 
 
 # ---------------------------------------------------------------------------
@@ -901,7 +906,7 @@ _STARTUP_PROBE = textwrap.dedent(
     watched = ("hashlib", "_hashlib", "numpy.polynomial")
     # numpy 1.x loads numpy.polynomial itself; only what opentoda adds counts
     preloaded = {name for name in watched if name in sys.modules}
-    from opentoda import cli
+    from opentoda import cli, properties
 
     for argv in json.loads(sys.argv[1]):
         with contextlib.redirect_stdout(io.StringIO()):

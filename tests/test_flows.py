@@ -15,7 +15,6 @@ from opentoda import (
     PhasePoint,
     ResidueUnderflow,
     SpectralData,
-    StructureViolation,
     Trajectory,
     direct_transform,
     eigen,
@@ -30,7 +29,7 @@ from opentoda import (
     spectral_field,
     unflaschka,
 )
-from opentoda import flows
+from opentoda import flows, properties
 
 from conftest import random_jacobi, random_spectral
 from oracles import exact_evolve_loop, exact_flow_rho, lax_commutator, spectral_drifts
@@ -80,16 +79,20 @@ def test_lax_rhs_matches_dense_oracle(rng):
             assert np.max(np.abs(cdot - want_c), initial=0.0) <= 1e-13 * scale
 
 
-def test_lax_rhs_structure_violation(rng, monkeypatch):
-    J = random_jacobi(rng, 6)
+def test_corrupted_power_bands_fail_lax_matches_hamiltonian(monkeypatch):
+    def lax_property():
+        report = properties.suite_hierarchy(np.random.default_rng(0), 4, 4)
+        return next(r for r in report if r["property"] == "lax_matches_hamiltonian")
+
+    assert lax_property()["pass"]
     power_bands = flows.power_bands
     # bands of L^k scaled unevenly no longer make a generator of an isospectral flow
     monkeypatch.setattr(
         flows, "power_bands",
         lambda v, c, k: power_bands(v, c, k) * np.arange(1, 2 * k + 2)[:, None],
     )
-    with pytest.raises(StructureViolation):
-        lax_rhs(J, 2)
+    got = lax_property()
+    assert not got["pass"] and got["max_residual"] > 1e-3
 
 
 def test_hamiltonian_gradient_bands(rng):

@@ -15,7 +15,7 @@ from opentoda import (
 from opentoda.cli import dump_json, main, make_envelope
 
 import oracles
-from conftest import random_jacobi, random_spectral
+from conftest import corrupt_zrho_tensors, random_jacobi, random_spectral
 
 
 def _trajectories(rng):
@@ -174,7 +174,7 @@ def _envelopes(tmp_path, rng):
     "argv",
     [
         ["verify", "--n", "3", "--trials", "4"],
-        ["verify", "--suite", "jacobi", "--n", "3", "--trials", "4", "--negative-control"],
+        ["verify", "--suite", "jacobi", "--n", "3", "--trials", "4"],
         ["bracket", "{spectral}", "--p", "4", "--q", "5", "--f", "1"],
         ["bracket", "{spectral}", "--p", "4", "--q", "5", "--f", "2", "--restricted"],
         ["transform", "{jacobi}"],
@@ -185,6 +185,9 @@ def _envelopes(tmp_path, rng):
 )
 def test_commands_write_what_json_dump_writes(argv, tmp_path, rng, capsys, monkeypatch):
     argv = [a.format(**_envelopes(tmp_path, rng)) for a in argv]
+    if argv[:3] == ["verify", "--suite", "jacobi"]:
+        # a failing report
+        corrupt_zrho_tensors(monkeypatch)
     rc = main(argv)
     got = capsys.readouterr().out
     monkeypatch.setattr(cli, "dump_json", oracles.dump_json)
