@@ -22,6 +22,7 @@ from .flows import _METHODS, FlowSpec, RowBlocks, evolve
 from .floattext import write_rows
 from .properties import (
     WORKED_TOL,
+    Draws,
     suite_casimirs,
     suite_darboux,
     suite_hierarchy,
@@ -256,7 +257,10 @@ def cmd_verify(args):
     # trial sizes cycle through 1..n (roundtrip) and 2..n (the other suites)
     if args.trials < args.n:
         raise ValueError(f"--n {args.n} needs --trials {args.n} or more to reach size {args.n}")
-    rng = np.random.default_rng(args.seed)
+    # random.Random would draw the stream of |seed| for a negative seed
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, not {args.seed}")
+    rng = Draws(args.seed)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     properties = []
     for name in names:

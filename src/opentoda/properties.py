@@ -4,7 +4,8 @@
 tolerances, random states, residuals and suites from here:
 
 - TOL, the tolerance of each property that `toda verify` reports;
-- the seeded generators of random Jacobi matrices and spectral data;
+- Draws, the seeded source of `toda verify`, and the seeded generators of
+  random Jacobi matrices and spectral data;
 - the residuals shared by the verify suites and the tests: the transform
   round trip, the four routes to the Weyl function, the p-degeneracy of the
   Hamiltonian fields, the Casimirs of pi_0, pi_1, pi_2 in the c-v chart, the
@@ -18,6 +19,8 @@ tolerances, random states, residuals and suites from here:
   seeded random states."""
 
 import dataclasses
+import math
+import random
 
 import numpy as np
 
@@ -89,6 +92,34 @@ WORKED_TOL = 1e-12
 
 # ---------------------------------------------------------------------------
 # seeded generators
+
+class Draws:
+    """The seeded source of `toda verify`: the two draws of numpy's Generator
+    that the generators below call, taken from the standard library's
+    Mersenne Twister, random.Random(seed), so that verify never loads
+    numpy.random, which imports OpenSSL through `secrets`.
+
+    Only Random.random is used, whose stream Python keeps fixed across
+    versions for an integer seed; the exponentials go through math.log, not
+    numpy's CPU-dispatched log, so the draws are the same bytes everywhere.
+    """
+
+    def __init__(self, seed):
+        self._random = random.Random(seed).random
+
+    def uniform(self, low, high, size):
+        """size points uniform on [low, high)."""
+        return low + (high - low) * np.array([self._random() for _ in range(size)])
+
+    def dirichlet(self, alpha):
+        """A point uniform on the simplex: normalized unit exponentials. Only
+        the flat alpha = (1, .., 1) is drawn; any other alpha raises."""
+        alpha = np.asarray(alpha, dtype=float)
+        if alpha.ndim != 1 or np.any(alpha != 1.0):
+            raise ValueError(f"Draws.dirichlet draws only a flat alpha of ones, not {alpha}")
+        e = np.array([-math.log(1.0 - self._random()) for _ in range(alpha.size)])
+        return e / np.sum(e)
+
 
 def random_jacobi(rng, n):
     """v ~ U(-3, 3), c ~ U(0.1, 3)."""

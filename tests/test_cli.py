@@ -539,6 +539,13 @@ def test_verify_refuses_sizes_below_one(capsys, flag, value):
     assert "at least 1" in err
 
 
+def test_verify_refuses_a_negative_seed(capsys):
+    # random.Random(-1) would silently draw the stream of seed 1
+    rc, out, err = run(["verify", "--seed", "-1"], capsys)
+    assert rc == 2 and out == ""
+    assert err == "error: --seed must be at least 0, not -1\n"
+
+
 def test_verify_refuses_trials_below_n(capsys):
     # with fewer trials the largest sizes are never drawn, and reports for
     # different n would differ only in "n"
@@ -903,8 +910,8 @@ _STARTUP_PROBE = textwrap.dedent(
 
     import numpy
 
-    watched = ("hashlib", "_hashlib", "numpy.polynomial")
-    # numpy 1.x loads numpy.polynomial itself; only what opentoda adds counts
+    watched = json.loads(sys.argv[2])
+    # numpy 1.x loads these itself; only what opentoda adds counts
     preloaded = {name for name in watched if name in sys.modules}
     from opentoda import cli, properties
 
@@ -928,11 +935,26 @@ def test_commands_load_neither_hashlib_nor_numpy_polynomial(tmp_path):
         ["evolve", jacobi, "--method", "rk4-lax", "--k", "2", *flow],
         ["evolve", jacobi, "--method", "rk4-hamiltonian", "--k", "2", "--p", "1", *flow],
     ]
+    assert _loaded_by(commands, ["hashlib", "_hashlib", "numpy.polynomial"]) == []
+
+
+def test_verify_loads_neither_numpy_random_nor_hashlib():
+    # verify draws from random.Random, and numpy.random imports OpenSSL
+    # through secrets and hmac; numpy.polynomial is not watched, because the
+    # roundtrip and darboux suites still root polynomials with it
+    commands = [["verify", "--suite", "all", "--n", "3"]]
+    watched = ["numpy.random", "secrets", "hmac", "hashlib", "_hashlib"]
+    assert _loaded_by(commands, watched) == []
+
+
+def _loaded_by(commands, watched):
+    """The watched modules that a fresh process has loaded after it ran each
+    command through cli.main, beyond those a bare import of numpy loads."""
     src = str(Path(opentoda.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(commands)],
+        [sys.executable, "-c", _STARTUP_PROBE, json.dumps(commands), json.dumps(watched)],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    return json.loads(proc.stdout)
