@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__, conventions_hash
 from .brackets import WeightFn, bracket_terms, closed_form_bracket
 from .errors import NumericalFailure, OverflowGuard, TodaError
-from .flows import _METHODS, FlowSpec, RowBlocks, evolve
+from .flows import _METHODS, FlowSpec, Rows, evolve
 from .floattext import write_rows
 from .properties import (
     WORKED_TOL,
@@ -76,9 +76,14 @@ def parse_envelope(doc):
         raw = payload.get(key)
         if raw is None:
             raise ValueError(f"envelope payload missing {key!r}")
+        # JSON numbers only: asarray would read true as 1, "2" as 2 and null as NaN
+        if not isinstance(raw, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw
+        ):
+            raise ValueError(f"malformed envelope: payload {key!r} must be a list of numbers")
         try:
             a = np.asarray(raw, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except OverflowError as exc:
             raise ValueError(f"malformed envelope: payload {key!r}: {exc}") from None
         if a.shape != (length,):
             raise ValueError(f"payload {key!r} must have length {length}")
@@ -102,13 +107,13 @@ def load_envelope(path):
 def dump_json(doc, stream):
     """Write doc as `json.dump(doc, stream, sort_keys=True, separators=(",",
     ": "), indent=1)` would, plus a newline, byte for byte, with a numpy
-    array written as its nested list `a.tolist()` and a flows.RowBlocks as
-    the nested list of its rows.
+    array written as its nested list `a.tolist()` and a flows.Rows as the
+    nested list of its rows.
 
     Dicts are walked here. A non-empty 1-D float64 array goes to
-    floattext.write_rows, which prints its numbers as json does, a block at
-    a time, and so does a RowBlocks, its head encoded once into the text
-    that opens every row and its blocks written as they come; either is
+    floattext.write_rows, which prints its numbers as json does, a pass at
+    a time, and so does a Rows, its head encoded once into the text that
+    opens every row and its rows taken a pass at a time; either is
     taken only as doc itself or as a value of a dict. Any other value is
     small (envelopes, reports, bracket documents) and goes to json.dumps,
     its lines indented to its depth.
@@ -116,11 +121,14 @@ def dump_json(doc, stream):
 
     def write(value, pad):
         inner = pad + " "
-        if isinstance(value, RowBlocks):
+        if isinstance(value, Rows):
             write_matrix(value, pad)
         elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64 and value.size:
             stream.write("[\n" + inner)
-            write_rows(stream, [[value]], [",\n" + inner], "json", end="\n" + pad + "]")
+            write_rows(
+                stream, value.size, lambda lo, hi: [value[lo:hi]], [",\n" + inner], "json",
+                end="\n" + pad + "]",
+            )
         elif isinstance(value, dict) and value:
             sep = "{\n" + inner
             for key, item in sorted(value.items()):
@@ -142,7 +150,7 @@ def dump_json(doc, stream):
         close = "\n" + inner + "]"
         stream.write("[\n" + inner)
         write_rows(
-            stream, ([block] for block in rows.blocks),
+            stream, rows.count, lambda lo, hi: [rows.take(lo, hi)],
             [item] * (rows.width - 1) + [close + ",\n" + inner],
             "json", lead="[" + item[1:] + lead, end=close + "\n" + pad + "]",
         )
@@ -182,8 +190,8 @@ def cmd_evolve(args):
 
     evolve runs its checks before it returns, so a failing run raises
     before the output is opened and writes nothing. An exact trajectory
-    evaluates its residues a block at a time as the writers ask for them,
-    so the run holds one block of rows, whatever their number.
+    evaluates its residues a pass at a time as the writers ask for them,
+    so the run holds one pass of rows, whatever their number.
     """
     obj = parse_envelope(load_envelope(args.input))
     spec = FlowSpec(k=args.k, method=args.method, t_final=args.t, dt=args.dt, p=args.p)

@@ -1,11 +1,11 @@
 """Rows of float64 numbers as the exact text Python prints for them.
 
-`write_rows` writes float64 blocks, one row at a time, with every number
-printed as `'%.17g' %` prints it (style "csv": 17 significant digits) or as
-json's encoder prints it (style "json": `float.__repr__`, the shortest
-digits that read back to the same double, and NaN, Infinity, -Infinity).
-The bytes are those Python writes. BLOCK numbers are converted per numpy
-pass, so the temporaries stay small whatever the size of the block.
+`write_rows` writes rows of float64 numbers, taken by index range, with
+every number printed as `'%.17g' %` prints it (style "csv": 17 significant
+digits) or as json's encoder prints it (style "json": `float.__repr__`, the
+shortest digits that read back to the same double, and NaN, Infinity,
+-Infinity). The bytes are those Python writes. About BLOCK numbers are
+taken and converted per numpy pass, so the temporaries stay small.
 
 Digits. For a finite x with 1e-270 <= |x| < 1e270, e10 = floor(log10|x|)
 and y = |x| 10^(16 - e10) lies in [1e16, 1e17). y is formed as a
@@ -24,7 +24,7 @@ inside at D + 1, so after testing 16 and 15 digits for every number the
 kernel bisects the rest over 1..15.
 
 Certification. A number is handed to Python's own formatter, and its text
-spliced into the block, when it is not finite, when |x| lies outside
+spliced into the pass, when it is not finite, when |x| lies outside
 [1e-270, 1e270), or when a decision above was closer than _TOL to a
 rounding tie or to an interval end (whether an end belongs to the interval
 depends on the parity of x's significand, which the kernel leaves to
@@ -35,7 +35,7 @@ of a fixed-point number below 1, 17 digits and a decimal point, and an
 exponent "e+XXX". A zero byte marks a slot position that is not printed.
 The slots are computed as planes (byte s of every slot in a row) and
 copied into a row template between constant separators; one boolean
-compaction of the block then joins everything.
+compaction of the pass then joins everything.
 """
 
 import functools
@@ -43,7 +43,7 @@ import functools
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-# Numbers formatted per numpy pass; a block of 4096 keeps the temporaries
+# Numbers formatted per numpy pass; a pass of 4096 keeps the temporaries
 # near 1 MB.
 BLOCK = 4096
 
@@ -367,57 +367,33 @@ def _text(values, row, style):
     return text
 
 
-def _passes(blocks, width, step):
-    """The rows of blocks (see write_rows), step at a time, as 2-D arrays
-    of width columns; only the last may hold fewer rows. A pass that spans
-    blocks is joined from their pieces."""
-    held, count = [], 0
-    for columns in blocks:
-        columns = [c[:, None] if c.ndim == 1 else c for c in columns]
-        if sum(c.shape[1] for c in columns) != width:
-            raise ValueError("need one separator per column")
-        rows = len(columns[0])
-        lo = 0
-        while lo < rows:
-            hi = min(rows, lo + step - count)
-            held.append(np.concatenate([c[lo:hi] for c in columns], axis=1))
-            count += hi - lo
-            lo = hi
-            if count == step:
-                yield held[0] if len(held) == 1 else np.concatenate(held)
-                held, count = [], 0
-    if count:
-        yield np.concatenate(held)
+def write_rows(stream, count, columns, seps, style, lead="", end=None):
+    """Write count rows of float64 numbers to the text stream.
 
+    columns(lo, hi) returns rows lo..hi-1 as a list of 1-D arrays (one
+    column each) and 2-D arrays (their columns), all of hi - lo rows, side
+    by side. Row i is written as lead, then each number of the row followed
+    by its separator seps[j]; the separator after the last number of the
+    last row is end instead, when end is given. style is "csv" or "json"
+    (see the module docstring). Separators and lead are ASCII and hold no
+    control character but newline.
 
-def write_rows(stream, blocks, seps, style, lead="", end=None):
-    """Write the rows of float64 blocks to the text stream.
-
-    blocks is an iterable of blocks of consecutive rows, taken in order; a
-    block is a list of 1-D arrays (one column each) and 2-D arrays (their
-    columns), all with the same number of rows, side by side. Row i is
-    written as lead, then each number of the row followed by its separator
-    seps[j]; the separator after the last number of the last row is end
-    instead, when end is given. style is "csv" or "json" (see the module
-    docstring). Separators and lead are ASCII and hold no control character
-    but newline.
-
-    The row templates are built once for all blocks. Rows go BLOCK // width
-    at a time, across the ends of blocks, and a row wider than BLOCK numbers
-    goes in pieces of BLOCK columns. One piece of text is held back, so that
-    end can replace the last separator.
+    The row template is built once. columns is asked for BLOCK // width
+    rows at a time, and a row wider than BLOCK numbers goes alone. One pass
+    of text is held back, so that end can replace the last separator.
     """
     width = len(seps)
-    pieces = [
-        (j, _template(lead if j == 0 else "", seps[j : j + BLOCK]))
-        for j in range(0, width, BLOCK)
-    ]
+    row = _template(lead, seps)
+    step = max(1, BLOCK // width)
     text = None
-    for values in _passes(blocks, width, max(1, BLOCK // width)):
-        for j, row in pieces:
-            if text is not None:
-                stream.write(text)
-            text = _text(values[:, j : j + BLOCK], row, style)
+    for lo in range(0, count, step):
+        values = [c[:, None] if c.ndim == 1 else c for c in columns(lo, min(count, lo + step))]
+        values = np.concatenate(values, axis=1)
+        if values.shape[1] != width:
+            raise ValueError("need one separator per column")
+        if text is not None:
+            stream.write(text)
+        text = _text(values, row, style)
     if text is not None:
         if end is not None:
             text = text[: len(text) - len(seps[-1])] + end

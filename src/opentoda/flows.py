@@ -8,12 +8,12 @@ two, and one stage of either costs O(n k^2) with no dense matrix: the Lax
 route forms only the tridiagonal part of the commutator, from the bands of
 L^k, and the Hamiltonian route applies the banded pi_p to grad H_{k-p}.
 `evolve` runs any of them from any state on one time grid (_time_grid),
-and trajectories carry isospectrality diagnostics. An exact trajectory
-holds its frozen poles once and its residues as a sequence of blocks, each
-evaluated whenever it is read.
+and trajectories carry isospectrality diagnostics. A trajectory hands out
+its rows by index range; an exact trajectory holds its frozen poles once
+and evaluates the residues of the rows asked for.
 """
 
-from collections.abc import Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,9 +41,9 @@ MAX_STEPS = 10**7
 # allocated.
 MAX_ENTRIES = 2**27
 
-# Elements of z^k t evaluated at once by the exact flow: enough time rows per
-# block to amortize numpy's call overhead, few enough that a block of
-# residues and its temporaries stay near the size of the writers' own passes.
+# Numbers taken at once by Trajectory.states and the exact flow's drift pass:
+# enough rows per block to amortize numpy's call overhead, few enough that a
+# block of residues and its temporaries stay small.
 _EXACT_BLOCK = 1 << 14
 
 
@@ -242,29 +242,6 @@ def _exact_rho(z, rho, k, ts):
     return w
 
 
-class _ExactRows(Sequence):
-    """The residues of the exact X_k flow from the normalized S at the
-    times of a _time_grid, as a sequence of blocks of consecutive rows of
-    about _EXACT_BLOCK numbers. Block i is evaluated by _exact_rho each
-    time it is read, and row 0 holds S.rho itself."""
-
-    def __init__(self, S, k, times):
-        self.S, self.k, self.times = S, k, times
-        self.step = max(1, _EXACT_BLOCK // S.n)
-
-    def __len__(self):
-        return -(-self.times.size // self.step)
-
-    def __getitem__(self, i):
-        if not -len(self) <= i < len(self):
-            raise IndexError("block index out of range")
-        lo = i % len(self) * self.step
-        rho = _exact_rho(self.S.z, self.S.rho, self.k, self.times[lo : lo + self.step])
-        if lo == 0:
-            rho[0] = self.S.rho
-        return rho
-
-
 def exact_flow(S, k, t):
     """Closed-form X_k flow: rho_n(t) = rho_n e^{z_n^k t} / sum_s rho_s e^{z_s^k t}.
 
@@ -298,19 +275,20 @@ def _field_names(kind, n, width):
 
 
 @dataclass(frozen=True)
-class RowBlocks:
-    """A float64 matrix of at least one row, as the 1-D array head of the
-    numbers that begin every row and a sequence of blocks, 2-D arrays of
-    width >= 1 columns that hold the rest of consecutive rows, in order.
+class Rows:
+    """A float64 matrix of count >= 1 rows, as the 1-D array head of the
+    numbers that begin every row and the range function take: take(lo, hi)
+    returns the rest of rows lo..hi-1, a 2-D array of width >= 1 columns.
 
     Trajectory.to_csv, and cli.dump_json, which writes it as the nested
-    list of its rows, make the text of head once and write the blocks as
-    they come.
+    list of its rows, make the text of head once and take the rows a
+    writer's pass at a time.
     """
 
     head: np.ndarray
     width: int
-    blocks: Sequence
+    count: int
+    take: Callable
 
 
 @dataclass(frozen=True)
@@ -319,27 +297,29 @@ class Trajectory:
     the first sample: spectrum_drift is the largest eigenvalue excursion and
     sum_rho_drift is |sum rho (t) - sum rho (0)|.
 
-    Its rows are a RowBlocks. Trajectory.build keeps an array of states as
-    one block with an empty head. evolve's exact method keeps the frozen
-    poles as the head and a sequence of residue blocks, each evaluated
-    whenever it is read, so writing a run of any length holds one block of
-    rows and final_state evaluates only the last block; states assembles
-    every row and refuses more than MAX_ENTRIES doubles.
+    Its rows are a Rows. Trajectory.build keeps an array of states, sliced
+    by take, with an empty head. evolve's exact method keeps the frozen
+    poles as the head, and its take evaluates the residues of the rows
+    asked for, so writing a run of any length holds one pass of rows and
+    final_state evaluates one row; states assembles every row and refuses
+    more than MAX_ENTRIES doubles.
 
-    Trajectory.build takes jacobi and raw rows. For jacobi rows the
-    eigenvalues come from tridiag._eigenvalues, one row at a time so memory
-    stays flat, and sum_rho_drift is 0: the residues are the squares of the
-    first row of an orthonormal eigenvector matrix, which sum to
-    |e_0|^2 = 1. Rows whose diagnostics cannot be evaluated (blown-up
-    states) carry NaN in both; raw rows carry 0 in both. Any other kind,
-    spectral included, raises DomainViolation: spectral rows come only from
-    evolve's exact method, with the diagnostics evolve documents.
+    Trajectory.build takes jacobi and raw rows: 1-D times and a 2-D states
+    array of one row per time, 2n - 1 columns wide for jacobi rows and at
+    least one column wide for raw rows. For jacobi rows the eigenvalues come
+    from tridiag._eigenvalues, one row at a time so memory stays flat, and
+    sum_rho_drift is 0: the residues are the squares of the first row of an
+    orthonormal eigenvector matrix, which sum to |e_0|^2 = 1. Rows whose
+    diagnostics cannot be evaluated (blown-up states) carry NaN in both; raw
+    rows carry 0 in both. Any other kind, spectral included, raises
+    DomainViolation: spectral rows come only from evolve's exact method,
+    with the diagnostics evolve documents.
     """
 
     kind: str
     n: int
     times: np.ndarray
-    rows: RowBlocks
+    rows: Rows
     sum_rho_drift: np.ndarray
     spectrum_drift: np.ndarray
 
@@ -351,6 +331,12 @@ class Trajectory:
         m = times.size
         if not m:
             raise DomainViolation("a trajectory needs at least one row")
+        if times.ndim != 1 or states.ndim != 2 or len(states) != m or not states.shape[1]:
+            raise DomainViolation(
+                f"need 1-D times and states of {m} rows, one per time, of at least one column"
+            )
+        if kind == "jacobi" and states.shape[1] != 2 * n - 1:
+            raise DomainViolation(f"jacobi states of n = {n} sites need {2 * n - 1} columns")
         sr = np.zeros(m)
         sd = np.zeros(m)
         if kind == "jacobi":
@@ -365,7 +351,8 @@ class Trajectory:
                     z0 = z
                 sd[i] = float(np.max(np.abs(z - z0)))
         return cls(
-            kind=kind, n=n, times=times, rows=RowBlocks(np.empty(0), states.shape[1], (states,)),
+            kind=kind, n=n, times=times,
+            rows=Rows(np.empty(0), states.shape[1], m, lambda lo, hi: states[lo:hi]),
             sum_rho_drift=sr, spectrum_drift=sd,
         )
 
@@ -373,20 +360,20 @@ class Trajectory:
     def states(self):
         """Every row in one array; DomainViolation when it would hold more
         than MAX_ENTRIES doubles."""
-        k = self.rows.head.size
-        states = _allocate(self.times.size, k + self.rows.width)
-        states[:, :k] = self.rows.head
-        lo = 0
-        for block in self.rows.blocks:
-            states[lo : lo + len(block), k:] = block
-            lo += len(block)
+        rows = self.rows
+        k = rows.head.size
+        states = _allocate(rows.count, k + rows.width)
+        states[:, :k] = rows.head
+        step = max(1, _EXACT_BLOCK // rows.width)
+        for lo in range(0, rows.count, step):
+            states[lo : lo + step, k:] = rows.take(lo, lo + step)
         return states
 
     @property
     def final_state(self):
-        """The last row: the head and the last row of the last block, the
-        only block read."""
-        return np.concatenate([self.rows.head, self.rows.blocks[-1][-1]])
+        """The last row: the head and take of that row alone."""
+        m = self.rows.count
+        return np.concatenate([self.rows.head, self.rows.take(m - 1, m)[0]])
 
     @property
     def field_names(self):
@@ -399,21 +386,19 @@ class Trajectory:
         doubles) by floattext.write_rows. The text of the head of the rows
         is made once, into a separator that every line repeats."""
 
-        def blocks():
-            lo = 0
-            for block in self.rows.blocks:
-                hi = lo + len(block)
-                yield [self.times[lo:hi], block, self.sum_rho_drift[lo:hi], self.spectrum_drift[lo:hi]]
-                lo = hi
+        def columns(lo, hi):
+            return [self.times[lo:hi], self.rows.take(lo, hi), self.sum_rho_drift[lo:hi],
+                    self.spectrum_drift[lo:hi]]
 
         stream.write(",".join(["t", *self.field_names, "sum_rho_drift", "spectrum_drift"]) + "\n")
         head = "".join("%.17g," % x for x in self.rows.head.tolist())
-        write_rows(stream, blocks(), ["," + head] + [","] * (self.rows.width + 1) + ["\n"], "csv")
+        seps = ["," + head] + [","] * (self.rows.width + 1) + ["\n"]
+        write_rows(stream, self.rows.count, columns, seps, "csv")
 
     def to_payload(self):
         """The trajectory as a document for cli.dump_json: its rows are the
-        RowBlocks and its other arrays stay numpy arrays, which dump_json
-        writes as lists."""
+        Rows and its other arrays stay numpy arrays, which dump_json writes
+        as lists."""
         return {
             "kind": self.kind,
             "n": self.n,
@@ -471,11 +456,12 @@ def evolve(obj, spec, record_every=1):
     The RK4 methods integrate in the c-v chart and hold their rows in
     memory, so a run of more than MAX_ENTRIES doubles raises
     DomainViolation before it starts. The exact method keeps the frozen
-    poles as the head of its rows and the residues as a sequence of blocks
-    (_ExactRows), each evaluated whenever it is read; per row it stores
-    only the time and sum_rho_drift, and its spectrum_drift is a broadcast
-    0, as the poles are copied bit for bit. Before it returns, it evaluates
-    the last row, then every row once for sum_rho_drift. So a run raises
+    poles as the head of its rows, and its take evaluates the residues of
+    rows lo..hi-1 by _exact_rho each time it is called, row 0 being S.rho;
+    per row it stores only the time and sum_rho_drift, and its
+    spectrum_drift is a broadcast 0, as the poles are copied bit for bit.
+    Before it returns, it evaluates the last row, then every row once, in
+    blocks of _EXACT_BLOCK numbers, for sum_rho_drift. So a run raises
     here, before any row is written, when a recorded residue would
     underflow or an exponent overflow: log rho_n(t) is concave in t, so
     over a run the residues are smallest, and |z^k t| is largest, at t = 0
@@ -486,16 +472,21 @@ def evolve(obj, spec, record_every=1):
         _require_normalized(S)
         times = _time_grid(spec.t_final, spec.dt, record_every)[2]
         _exact_rho(S.z, S.rho, spec.k, times[-1:])
-        blocks = _ExactRows(S, spec.k, times)
+
+        def take(lo, hi):
+            rho = _exact_rho(S.z, S.rho, spec.k, times[lo:hi])
+            if lo == 0:
+                rho[:1] = S.rho
+            return rho
+
         drift = np.empty(times.size)
-        lo = 0
-        for rho in blocks:
-            drift[lo : lo + len(rho)] = rho.sum(axis=1)
-            lo += len(rho)
+        step = max(1, _EXACT_BLOCK // S.n)
+        for lo in range(0, times.size, step):
+            drift[lo : lo + step] = take(lo, lo + step).sum(axis=1)
         # |sum rho(t) - sum rho(0)|, in place
         np.abs(np.subtract(drift, drift[0], out=drift), out=drift)
         return Trajectory(
-            kind="spectral", n=S.n, times=times, rows=RowBlocks(S.z.copy(), S.n, blocks),
+            kind="spectral", n=S.n, times=times, rows=Rows(S.z.copy(), S.n, times.size, take),
             sum_rho_drift=drift, spectrum_drift=np.broadcast_to(0.0, times.size),
         )
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from opentoda.brackets import zrho_unpack
 from opentoda.errors import OverflowGuard, ResidueUnderflow
-from opentoda.flows import RowBlocks, exact_flow
+from opentoda.flows import Rows, exact_flow
 
 
 def dense(v, c):
@@ -194,16 +194,16 @@ def trajectory_csv(traj, stream):
 
 
 def _as_list(a):
-    """The nested list of a numpy array or of a RowBlocks' rows."""
-    if isinstance(a, RowBlocks):
+    """The nested list of a numpy array or of a Rows' rows."""
+    if isinstance(a, Rows):
         head = a.head.tolist()
-        return [head + row for block in a.blocks for row in block.tolist()]
+        return [head + row for row in a.take(0, a.count).tolist()]
     return a.tolist()
 
 
 def dump_json(doc, stream):
     """cli.dump_json through json.dump's own indenting encoder, with numpy
-    arrays and RowBlocks written as their nested lists."""
+    arrays and Rows written as their nested lists."""
     json.dump(doc, stream, sort_keys=True, separators=(",", ": "), indent=1, default=_as_list)
     stream.write("\n")
 

@@ -127,6 +127,27 @@ def test_envelope_malformed_values_exit_2(tmp_path, capsys, text):
     assert "error: malformed envelope" in err
 
 
+
+@pytest.mark.parametrize(
+    "payload, key",
+    [
+        ('{"v": [true, 0.5], "c": [1.0]}', "'v' must be a list of numbers"),
+        ('{"v": [1, 0.5], "c": ["1e0"]}', "'c' must be a list of numbers"),
+        ('{"v": [1, null], "c": [1.0]}', "'v' must be a list of numbers"),
+        ('{"v": [1, 0.5], "c": [1' + "0" * 400 + "]}", "'c': int too large"),
+    ],
+    ids=["bool", "string", "null", "huge-int"],
+)
+def test_envelope_entries_are_json_numbers(tmp_path, capsys, payload, key):
+    # asarray would read true as 1, "1e0" as 1 and null as NaN, and an
+    # integer beyond the doubles raised OverflowError, a traceback
+    path = tmp_path / "bad.json"
+    path.write_text('{"kind": "jacobi", "n": 2, "payload": ' + payload + "}")
+    rc, out, err = run(["transform", str(path)], capsys)
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: malformed envelope: payload {key}")
+    assert err.count("\n") == 1
+
 def test_transform_forward(tmp_path, capsys):
     path = write_envelope(tmp_path, PhasePoint(q=np.zeros(2), p=np.zeros(2)))
     rc, out, _ = run(["transform", path], capsys)

@@ -17,7 +17,7 @@ from conftest import random_spectral
 
 def _kernel(x, style):
     buf = io.StringIO()
-    floattext.write_rows(buf, [[x]], ["\n"], style)
+    floattext.write_rows(buf, x.size, lambda lo, hi: [x[lo:hi]], ["\n"], style)
     return buf.getvalue()
 
 
@@ -106,37 +106,47 @@ def test_uncertified_numbers_go_to_python(monkeypatch):
 def test_rows_separators_lead_and_end():
     a = np.array([[1.0, -0.0, np.nan], [2.5e-7, 1e22, -np.inf]])
     buf = io.StringIO()
-    floattext.write_rows(buf, [[a[:, 0], a[:, 1:]]], ["|", ";", "\n"], "json", lead="> ", end=".")
+    floattext.write_rows(
+        buf, 2, lambda lo, hi: [a[lo:hi, 0], a[lo:hi, 1:]], ["|", ";", "\n"], "json", lead="> ", end="."
+    )
     assert buf.getvalue() == "> 1.0|-0.0;NaN\n> 2.5e-07|1e+22;-Infinity."
     buf = io.StringIO()
-    floattext.write_rows(buf, [[a]], [",", ",", "\n"], "csv")
+    floattext.write_rows(buf, 2, lambda lo, hi: [a[lo:hi]], [",", ",", "\n"], "csv")
     assert buf.getvalue() == "1,-0,nan\n2.4999999999999999e-07,1e+22,-inf\n"
     buf = io.StringIO()
-    floattext.write_rows(buf, [[np.zeros((0, 2))]], [",", "\n"], "csv", end="]")
+    floattext.write_rows(buf, 0, lambda lo, hi: [np.zeros((0, 2))], [",", "\n"], "csv", end="]")
     assert buf.getvalue() == ""
     with pytest.raises(ValueError):
-        floattext.write_rows(buf, [[a]], [","], "csv")
+        floattext.write_rows(buf, 2, lambda lo, hi: [a[lo:hi]], [","], "csv")
 
 
 @pytest.mark.parametrize("block", [3, 12, floattext.BLOCK])
 def test_blocks_write_the_bytes_of_one_block(rng, monkeypatch, block):
-    # passes of BLOCK // 4 rows (1 and 3 here) join the pieces of blocks
-    # cut anywhere, empty blocks included; with BLOCK = 3 a row goes in two
-    # pieces of columns
-    monkeypatch.setattr(floattext, "BLOCK", block)
+    # every BLOCK writes the bytes of one pass over all 50 rows, asking for
+    # contiguous passes of BLOCK // 4 rows (1, 3 and 1024 here); with
+    # BLOCK = 3 a row is wider than BLOCK and goes alone
     t = np.arange(50.0) / 3
     a = rng.normal(size=(50, 3))
+    asked = []
 
-    def text(blocks):
+    def columns(lo, hi):
+        asked.append((lo, hi))
+        return [t[lo:hi], a[lo:hi]]
+
+    def text():
+        asked.clear()
         buf = io.StringIO()
-        floattext.write_rows(buf, blocks, [",", ";", "|", "\n"], "json", lead="> ", end=".")
+        floattext.write_rows(buf, 50, columns, [",", ";", "|", "\n"], "json", lead="> ", end=".")
         return buf.getvalue()
 
-    whole = text([[t, a]])
+    monkeypatch.setattr(floattext, "BLOCK", 200)
+    whole = text()
+    assert asked == [(0, 50)]
     assert whole.count("\n") == 49 and whole.endswith(".")
-    for cuts in ([0], [1, 2, 3], [7, 7, 20, 49], [50], list(range(1, 50))):
-        bounds = [0, *cuts, 50]
-        assert text([t[lo:hi], a[lo:hi]] for lo, hi in zip(bounds, bounds[1:])) == whole
+    monkeypatch.setattr(floattext, "BLOCK", block)
+    assert text() == whole
+    step = max(1, block // 4)
+    assert asked == [(lo, min(50, lo + step)) for lo in range(0, 50, step)]
 
 
 def test_long_separators_stand_in_the_template_as_marks():
@@ -146,7 +156,7 @@ def test_long_separators_stand_in_the_template_as_marks():
     seps = [f"<{j:02d}" + "-" * 40 + ">" for j in range(10)] + ["\n"]
     lead = "[" * 40
     buf = io.StringIO()
-    floattext.write_rows(buf, [[a]], seps, "json", lead=lead, end="$")
+    floattext.write_rows(buf, 2, lambda lo, hi: [a[lo:hi]], seps, "json", lead=lead, end="$")
     rows = [lead + "".join(repr(v) + s for v, s in zip(row.tolist(), seps)) for row in a]
     assert buf.getvalue() == "".join(rows)[:-1] + "$"
 

@@ -440,6 +440,19 @@ def test_trajectory_build_refuses_unknown_kinds():
         Trajectory.build("raw", 1, [], np.zeros((0, 1)))
 
 
+
+def test_trajectory_build_refuses_states_of_the_wrong_shape():
+    # one row per time, else states read rows past the end of the array
+    for states in ([[1.0, 2.0]], [1.0, 2.0, 3.0], np.zeros((3, 2, 1)), np.zeros((3, 0))):
+        with pytest.raises(DomainViolation, match="states of 3 rows, one per time"):
+            Trajectory.build("raw", 2, [0.0, 1.0, 2.0], states)
+    with pytest.raises(DomainViolation, match="need 1-D times"):
+        Trajectory.build("raw", 1, [[0.0, 1.0]], [[1.0], [2.0]])
+    # jacobi rows of n sites are 2n - 1 wide, else every diagnostic is NaN
+    for width in (4, 6):
+        with pytest.raises(DomainViolation, match="need 5 columns"):
+            Trajectory.build("jacobi", 3, [0.0], np.ones((1, width)))
+
 def test_trajectory_undiagnosable_rows_are_nan(rng, monkeypatch):
     _, rows = _jacobi_rows(rng, 4, 3)
     rows[1, 4] = -1.0  # c_0 <= 0 is not a Jacobi matrix

@@ -1,7 +1,7 @@
 """The trajectory CSV writer and cli.dump_json write the same bytes as the
 csv-module and json.dump writers kept in tests/oracles.py, also where they
 format the frozen head of a trajectory's rows once and where an exact
-trajectory evaluates its residues a block at a time as they are written."""
+trajectory evaluates its residues a pass at a time as they are written."""
 
 import io
 import json
@@ -148,7 +148,7 @@ def test_writers_match_oracles_across_blocks(rng):
     states[3, 0] = np.nan
     jacobi = Trajectory.build("jacobi", 4, np.arange(5) * 0.1, states)
     assert np.isnan(jacobi.spectrum_drift[[1, 3]]).all()
-    # rows wider than a block go in pieces of BLOCK columns
+    # rows wider than BLOCK numbers go one row per pass
     wide = rng.normal(size=(3, 2 * floattext.BLOCK + 100))
     wide[:, :5] = wide[0, :5]
     wide = Trajectory.build("raw", wide.shape[1], [0.0, 0.5, 1.0], wide)
@@ -210,9 +210,9 @@ def _cli_text(argv, capsys):
 def test_streamed_exact_output_matches_in_memory_writers(
     tmp_path, rng, capsys, monkeypatch, n, every, t_final, dt
 ):
-    # `toda evolve --method exact` writes its rows a block at a time; with
-    # blocks of 1, 2 and 3 rows and the default, its bytes are those of the
-    # in-memory Trajectory's writers and of the oracles
+    # `toda evolve --method exact` takes its rows by index range; with
+    # drift blocks of 1, 2 and 3 rows and the default, its bytes are those
+    # of the in-memory Trajectory's writers and of the oracles
     S = random_spectral(rng, n, min_gap=0.0)
     path = tmp_path / "in.json"
     path.write_text(json.dumps(make_envelope(S)))
@@ -231,26 +231,45 @@ def test_streamed_exact_output_matches_in_memory_writers(
         monkeypatch.setattr(flows, "_EXACT_BLOCK", block)
         for out in ("csv", "json"):
             assert _cli_text(argv + ["--out", out], capsys) == want[out]
-        _check_block_sequence(evolve(S, spec, every), block)
+        _check_take(evolve(S, spec, every))
 
 
-def _check_block_sequence(traj, block):
-    # the residues of an exact run are a sequence of blocks of block // n
-    # rows, the last one possibly shorter; iterating it reads every index
-    blocks = traj.rows.blocks
-    step = max(1, block // traj.n)
-    m = len(blocks)
-    assert m == -(-traj.times.size // step)
-    read = list(blocks)
-    assert len(read) == m
-    for i, rho in enumerate(read):
-        assert rho.shape == (min(step, traj.times.size - i * step), traj.n)
-        np.testing.assert_array_equal(blocks[i], rho)
-        np.testing.assert_array_equal(blocks[i - m], rho)
-    np.testing.assert_array_equal(np.concatenate(read), traj.states[:, traj.n :])
-    for i in (m, -m - 1):
-        with pytest.raises(IndexError):
-            blocks[i]
+def _check_take(traj):
+    # take(lo, hi) returns the residues of rows lo..hi-1, whatever the cuts
+    m = traj.rows.count
+    assert m == traj.times.size
+    rho = traj.states[:, traj.n :]
+    for step in (1, 3, 7, m):
+        for lo in range(0, m, step):
+            np.testing.assert_array_equal(traj.rows.take(lo, lo + step), rho[lo : lo + step])
+
+
+def test_writers_evaluate_each_exact_row_once(rng, monkeypatch):
+    # the writers ask an exact run for contiguous passes of at most
+    # BLOCK // width rows and evaluate every row once; final_state
+    # evaluates its one row
+    n = 48
+    S = random_spectral(rng, n, min_gap=0.0)
+    traj = evolve(S, FlowSpec(k=1, method="exact", t_final=0.25, dt=1e-3))
+    m = traj.times.size
+    asked = []
+    exact_rho = flows._exact_rho
+
+    def recording(z, rho, k, ts):
+        lo = int(np.searchsorted(traj.times, ts[0]))
+        asked.append((lo, lo + ts.size))
+        return exact_rho(z, rho, k, ts)
+
+    monkeypatch.setattr(flows, "_exact_rho", recording)
+    for write, width in ((traj.to_csv, n + 3), (lambda buf: dump_json(traj.to_payload(), buf), n)):
+        asked.clear()
+        _text(write)
+        assert asked[0][0] == 0 and asked[-1][1] == m
+        assert all(hi == lo for (_, hi), (lo, _) in zip(asked, asked[1:]))
+        assert max(hi - lo for lo, hi in asked) <= floattext.BLOCK // width
+    asked.clear()
+    traj.final_state
+    assert asked == [(m - 1, m)]
 
 
 def test_streamed_exact_output_is_not_bounded_by_max_entries(tmp_path, rng, capsys, monkeypatch):
